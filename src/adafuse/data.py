@@ -164,19 +164,26 @@ def save_dataset(dataset: SceneDataset, directory) -> Path:
     return out
 
 
-def _read_blob(root: Path, entry: dict, dtype: str, itemsize: int) -> np.ndarray:
+def read_blob(root: Path, entry: dict, dtype: str,
+              error: type[Exception] = DatasetError) -> np.ndarray:
+    """Read the raw blob a manifest ``entry`` (``path``, ``shape``) names.
+
+    The path must be relative and stay inside ``root``, and the file must
+    hold exactly the bytes ``shape`` and ``dtype`` need; any violation
+    raises ``error``. Datasets and checkpoints share this reader.
+    """
     path = entry["path"]
     if Path(path).is_absolute() or ".." in Path(path).parts:
-        raise DatasetError(f"blob paths must be relative to the dataset dir: {path!r}")
+        raise error(f"blob paths must be relative to the manifest dir: {path!r}")
     blob = root / path
     if not blob.exists():
-        raise DatasetError(f"missing blob {path!r}")
+        raise error(f"missing blob {path!r}")
     shape = tuple(int(s) for s in entry["shape"])
-    expected = int(np.prod(shape)) * itemsize
+    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     actual = blob.stat().st_size
     if actual != expected:
-        raise DatasetError(f"blob {path!r} holds {actual} bytes, "
-                           f"expected {expected} for shape {shape}")
+        raise error(f"blob {path!r} holds {actual} bytes, "
+                    f"expected {expected} for shape {shape}")
     return np.frombuffer(blob.read_bytes(), dtype=dtype).reshape(shape).copy()
 
 
@@ -195,9 +202,9 @@ def load_dataset(directory) -> SceneDataset:
     ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
     samples = []
     for rec in manifest["samples"]:
-        images = {name: _read_blob(root, entry, "<f4", 4)
+        images = {name: read_blob(root, entry, "<f4")
                   for name, entry in rec["images"].items()}
-        label = _read_blob(root, rec["label"], "<u2", 2)
+        label = read_blob(root, rec["label"], "<u2")
         bad = (label >= num_classes) & (label != ignore)
         if bad.any():
             raise DatasetError(f"label {rec['label']['path']!r} holds class ids "

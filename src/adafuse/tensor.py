@@ -7,6 +7,13 @@ bilinear upsampling. Executed primitives are recorded on a global
 :class:`Tape` in execution order; ``backward`` sweeps that record in
 reverse, so gradient accumulation order is fixed by forward order and
 runs are bit-stable.
+
+A node's backward rule takes the output gradient and returns one entry
+per input: the input's gradient, or ``None`` for an input that did not
+require a gradient when the node was made. Frozen operands (encoder
+weights, constants, wrapped scalars) therefore cost no backward work.
+``Tape.clear`` releases the recorded graph: once the caller drops its
+tensors, reference counting frees every node and buffer.
 """
 
 from __future__ import annotations
@@ -49,6 +56,15 @@ class Tape:
         self._nodes.append(node)
 
     def clear(self) -> None:
+        """Forget every recorded node and release the graph.
+
+        Each node drops its link to its output, which breaks the
+        ``Node.output`` <-> ``Tensor._node`` cycle, so the graph is freed
+        by reference counting as soon as no caller holds its tensors.
+        Tensors kept past ``clear`` stay valid but no longer backpropagate.
+        """
+        for node in self._nodes:
+            node.output = None
         self._nodes.clear()
 
     def __len__(self) -> int:
@@ -73,10 +89,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
-
-
-def is_grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -203,7 +215,10 @@ def backward(loss: Tensor) -> None:
 
     Repeated calls (without zeroing) accumulate one gradient's worth per
     call. The reverse sweep follows tape order, so accumulation order is
-    deterministic for a fixed forward order.
+    deterministic for a fixed forward order. Backward rules return
+    ``None`` for inputs that did not require a gradient when their node
+    was recorded, and those inputs are skipped. Nodes dropped by
+    ``Tape.clear`` are not visited.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -245,11 +260,6 @@ def backward(loss: Tensor) -> None:
         deposit(holders[key], g)
 
 
-def zero_grads(tensors) -> None:
-    for t in tensors:
-        t.grad = None
-
-
 # ---------------------------------------------------------------------
 # elementwise arithmetic
 # ---------------------------------------------------------------------
@@ -260,10 +270,11 @@ def _broadcast_op(a: Tensor, b, fn, da, db, name: str) -> Tensor:
         out = fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return (_unbroadcast(da(g, a.data, b.data), a.shape),
-                _unbroadcast(db(g, a.data, b.data), b.shape))
+        return (_unbroadcast(da(g, a.data, b.data), a.shape) if need_a else None,
+                _unbroadcast(db(g, a.data, b.data), b.shape) if need_b else None)
 
     return _make(out, (a, b), bwd)
 
@@ -305,10 +316,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = gb = None
+        if need_a:
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+        if need_b and b.ndim == 2:
+            # [..., k] @ [k, e]: one GEMM over all leading rows
+            k, e = b.shape
+            gb = a.data.reshape(-1, k).T @ g.reshape(-1, e)
+        elif need_b:
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
     return _make(out, (a, b), bwd)
@@ -372,15 +391,20 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
-        dbeta = g.sum(axis=lead)
-        dgamma = (g * xhat).sum(axis=lead)
-        dxhat = g * gamma.data
-        dx = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        dx = dgamma = dbeta = None
+        if need_beta:
+            dbeta = g.sum(axis=lead)
+        if need_gamma:
+            dgamma = (g * xhat).sum(axis=lead)
+        if need_x:
+            dxhat = g * gamma.data
+            dx = inv * (dxhat
+                        - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
         return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), bwd)
@@ -458,10 +482,11 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     out = np.concatenate([t.data for t in parts], axis=axis)
     sizes = [t.shape[axis] for t in parts]
     split_at = np.cumsum(sizes)[:-1]
+    needs = [t.requires_grad for t in parts]
 
     def bwd(g):
-        return tuple(np.ascontiguousarray(piece)
-                     for piece in np.split(g, split_at, axis=axis))
+        return tuple(np.ascontiguousarray(piece) if need else None
+                     for piece, need in zip(np.split(g, split_at, axis=axis), needs))
 
     return _make(out, parts, bwd)
 

@@ -10,7 +10,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import SceneDataset, batch_iter, stack_batch
+from .data import SceneDataset, batch_iter, read_blob, stack_batch
 from .model import FusionModel, ModelConfig
 from .tensor import Tensor, active_tape, backward, log_softmax, mul, no_grad, tsum
 
@@ -315,6 +315,7 @@ def _load_manifest(directory) -> dict:
 def _load_blobs_into(model: FusionModel, manifest: dict, directory,
                      allow_partial: bool) -> None:
     lookup = dict(model.named_parameters())
+    root = Path(directory)
     dtype = manifest["blob_dtype"]
     seen = set()
     for rec in manifest["params"]:
@@ -327,11 +328,7 @@ def _load_blobs_into(model: FusionModel, manifest: dict, directory,
         if shape != p.shape:
             raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
                                   f"{shape}, model {p.shape}")
-        blob = Path(directory) / rec["path"]
-        if not blob.exists():
-            raise CheckpointError(f"missing blob {rec['path']!r}")
-        arr = np.frombuffer(blob.read_bytes(), dtype=dtype).reshape(shape)
-        p.data[...] = arr.astype(p.dtype)
+        p.data[...] = read_blob(root, rec, dtype, CheckpointError)
         seen.add(name)
     if not allow_partial:
         missing = [n for n in lookup if n not in seen]

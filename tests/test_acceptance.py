@@ -201,6 +201,7 @@ def fusion_protocol():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_6_fusion_beats_single_modality(fusion_protocol):
     margins = [f - s for f, s in zip(fusion_protocol["fused"],
                                      fusion_protocol["single"])]
@@ -212,6 +213,7 @@ def test_criterion_6_fusion_beats_single_modality(fusion_protocol):
            f"{fusion_protocol['time_base']:.0f}s")
 
 
+@pytest.mark.slow
 def test_criterion_7_ffm_non_inferiority(fusion_protocol):
     fused_mean = float(np.mean(fusion_protocol["fused"]))
     ffm_mean = float(np.mean(fusion_protocol["ffm"]))

@@ -6,6 +6,8 @@ import pytest
 
 from adafuse.cli import main
 from adafuse.data import generate_synthetic, load_dataset, save_dataset
+from adafuse.model import FusionModel, ModelConfig
+from adafuse.training import save_checkpoint
 
 
 def run(argv):
@@ -71,6 +73,18 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
     code = run(["train", "--data", str(tmp_path / "nowhere"),
                 "--out", str(tmp_path / "run")])
     assert code == 3
+
+
+def test_eval_truncated_checkpoint_is_io_error(tmp_path, capsys):
+    data_dir = tmp_path / "ds"
+    save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), data_dir)
+    cfg = ModelConfig(preset="tiny", bottleneck=2, dtype="float32")
+    ckpt = save_checkpoint(FusionModel(cfg), tmp_path / "ckpt")
+    blob = ckpt / "p00000.bin"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", str(data_dir)])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
 
 
 def test_unknown_flag_is_an_error(tmp_path):

@@ -399,6 +399,63 @@ def test_upsample_gradient():
 
 
 # ---------------------------------------------------------------------
+# frozen operands
+# ---------------------------------------------------------------------
+
+def rule(out, g=None):
+    """Run the backward rule of the node that produced ``out``."""
+    return out._node.backward_fn(np.ones_like(out.data) if g is None else g)
+
+
+def test_matmul_rule_skips_frozen_operand():
+    rng = np.random.default_rng(20)
+    x = t(rng.normal(size=(2, 3, 4)), rg=True)
+    w = t(rng.normal(size=(4, 5)))
+    out = af.matmul(x, w)
+    w.requires_grad = True          # flags are read when the node is made
+    gx, gw = rule(out)
+    assert gx.shape == x.shape and gw is None
+    gx, gw = rule(af.matmul(x.detach(), w))
+    assert gx is None and gw.shape == w.shape
+
+
+def test_mul_rule_skips_frozen_and_scalar_operands():
+    x = t([1.0, 2.0], rg=True)
+    assert rule(x * 3.0)[1] is None
+    frozen = t([4.0, 5.0])
+    gf, gx = rule(frozen * x)
+    assert gf is None and np.array_equal(gx, frozen.data)
+
+
+def test_layer_norm_rule_skips_frozen_operands():
+    rng = np.random.default_rng(21)
+    x = t(rng.normal(size=(2, 3, 4)), rg=True)
+    gamma, beta = t(np.ones(4)), t(np.zeros(4))
+    dx, dgamma, dbeta = rule(af.layer_norm(x, gamma, beta))
+    assert dx.shape == x.shape and dgamma is None and dbeta is None
+    gamma.requires_grad = beta.requires_grad = True
+    dx, dgamma, dbeta = rule(af.layer_norm(x.detach(), gamma, beta))
+    assert dx is None and dgamma.shape == (4,) and dbeta.shape == (4,)
+
+
+def test_concat_rule_skips_frozen_parts():
+    a, b = t(np.ones((2, 2))), t(np.ones((2, 3)), rg=True)
+    ga, gb = rule(af.concat([a, b], axis=1))
+    assert ga is None and np.array_equal(gb, np.ones((2, 3)))
+
+
+def test_weight_gradient_matches_batched_reference():
+    rng = np.random.default_rng(22)
+    x = t(rng.normal(size=(3, 7, 6)))
+    w = t(rng.normal(size=(6, 4)), rg=True)
+    g = rng.normal(size=(3, 7, 4))
+    _, gw = rule(af.matmul(x, w), g)
+    reference = (np.swapaxes(x.data, -1, -2) @ g).sum(axis=0)
+    assert gw.shape == w.shape
+    assert np.max(np.abs(gw - reference)) < 1e-12
+
+
+# ---------------------------------------------------------------------
 # tensor invariants
 # ---------------------------------------------------------------------
 

@@ -1,5 +1,8 @@
 """Schedule, loss, optimizer, metrics, freezing, checkpoints."""
 
+import gc
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from adafuse.training import (AdamW, CheckpointError, ConfusionMatrix,
                               evaluate, fit, format_metrics,
                               load_adapter_checkpoint, load_checkpoint, lr_at,
                               save_checkpoint, train_step)
+from adafuse.tensor import Node
 
 
 def tiny_model(seed=0, modalities=("vis", "ir"), use_ffm=False, dtype="float32"):
@@ -257,6 +261,25 @@ def test_grads_cleared_after_step():
     assert all(p.grad is None for _, p in model.trainable_parameters())
 
 
+def test_step_graph_is_freed_without_the_cycle_collector():
+    model = tiny_model(seed=4)
+    ds = tiny_dataset(n=2, seed=4)
+    images, labels = stack_batch(ds.samples, model.config.modalities)
+    opt = AdamW([p for _, p in model.trainable_parameters()], lr=1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        train_step(model, images, labels, opt, lr=1e-3)
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        leaked = sum(isinstance(o, (Node, af.Tensor)) for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert leaked == 0
+
+
 def test_fit_rejects_empty_dataset():
     model = tiny_model(seed=5)
     empty = SceneDataset([], 5, 32, 32, [("vis", 1), ("ir", 1)], 0)
@@ -335,4 +358,22 @@ def test_checkpoint_missing_blob_fails(tmp_path):
     root = save_checkpoint(model, tmp_path / "ckpt")
     next(root.glob("p000*.bin")).unlink()
     with pytest.raises(CheckpointError, match="missing blob"):
+        load_checkpoint(root)
+
+
+def test_truncated_checkpoint_blob_fails(tmp_path):
+    root = save_checkpoint(tiny_model(seed=12), tmp_path / "ckpt")
+    blob = root / "p00000.bin"
+    blob.write_bytes(blob.read_bytes()[:-4])
+    with pytest.raises(CheckpointError, match="bytes"):
+        load_checkpoint(root)
+
+
+def test_checkpoint_blob_outside_its_directory_rejected(tmp_path):
+    root = save_checkpoint(tiny_model(seed=13), tmp_path / "ckpt")
+    (root / "p00000.bin").rename(tmp_path / "p00000.bin")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["params"][0]["path"] = "../p00000.bin"
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match="relative"):
         load_checkpoint(root)
