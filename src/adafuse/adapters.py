@@ -222,28 +222,32 @@ def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
     return z_mlp
 
 
-def fused_encode(encoders: list[Encoder], images: list[Tensor],
+def fused_encode(encoders: list[Encoder], images: list,
                  bank: Optional[AdapterBank], density: Optional[DensityConfig],
                  train: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> list[list[Tensor]]:
+                 rng: Optional[np.random.Generator] = None,
+                 stages: Optional[int] = None) -> list[list[Tensor]]:
     """Run M encoders in lockstep, exchanging features in active stages.
 
     Returns one feature pyramid (list of [B, d_i, h_i, w_i] maps) per
     modality. Blocks in inactive stages run the plain per-modality path.
+    Each modality's input is a [B, C, H, W] image, or a list holding the
+    maps of its first k stages (computed earlier); encoding then resumes
+    at stage k + 1. ``stages`` stops after that many stages.
     """
     m = len(encoders)
     if len(images) != m:
         raise ShapeError(f"{m} encoders but {len(images)} modality images")
-    hw0 = images[0].shape[-2:]
-    for img in images[1:]:
-        if img.shape[-2:] != hw0:
+    pyramids = [list(x) if isinstance(x, list) else [] for x in images]
+    current = [p[-1] if p else x for p, x in zip(pyramids, images)]
+    for p, x in zip(pyramids[1:], current[1:]):
+        if len(p) != len(pyramids[0]) or x.shape[-2:] != current[0].shape[-2:]:
             raise ShapeError("modality images must share spatial dims")
     config = encoders[0].config
     active = set(density.active_stages) if (density and bank is not None) else set()
 
-    pyramids: list[list[Tensor]] = [[] for _ in range(m)]
-    current = list(images)
-    for s in range(config.num_stages):
+    stop = config.num_stages if stages is None else stages
+    for s in range(len(pyramids[0]), stop):
         stage_no = s + 1
         tokens = []
         h = w = 0

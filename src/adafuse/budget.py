@@ -10,10 +10,10 @@ bank carries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .adapters import AdapterBank, Density, DensityConfig, build_adapter_bank
+from .adapters import (AdapterBank, Density, DensityConfig, build_adapter_bank,
+                       routes_for)
 from .encoder import EncoderConfig
 
 
@@ -47,12 +47,8 @@ class CountSpec:
 
 
 def route_multiplier(density: Density, m: int) -> int:
-    pairs = math.comb(m, 2)
-    if density is Density.SHARED:
-        return 1
-    if density is Density.PAIR_BIDIRECTIONAL:
-        return pairs
-    return 2 * pairs
+    """Adapters per (stage, block, position) slot: one per route key."""
+    return len(routes_for(density, m))
 
 
 def adapter_param_count(dim: int, r: int, include_biases: bool) -> int:

@@ -117,7 +117,7 @@ class FusionModel:
         self.rng = np.random.default_rng([config.seed, 999])
 
     # -- inputs ---------------------------------------------------------
-    def _coerce(self, images) -> list[Tensor]:
+    def _coerce(self, images) -> list:
         if isinstance(images, dict):
             missing = [m for m in self.config.modalities if m not in images]
             if missing:
@@ -129,6 +129,9 @@ class FusionModel:
         dtype = self.config.np_dtype()
         out = []
         for img, ch in zip(images, self.config.channels):
+            if isinstance(img, list):       # leading stage maps, see encode
+                out.append([Tensor(np.asarray(f, dtype=dtype)) for f in img])
+                continue
             t = img if isinstance(img, Tensor) else Tensor(np.asarray(img, dtype=dtype))
             if t.dtype != dtype:
                 t = Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
@@ -140,11 +143,31 @@ class FusionModel:
         return out
 
     # -- forward ---------------------------------------------------------
-    def encode(self, images, train: bool = False) -> list[list[Tensor]]:
-        """Per-modality feature pyramids (stitched in active stages)."""
+    def frozen_stages(self) -> int:
+        """How many leading encoder stages are a fixed function of the
+        input: none with drop-path or with a trainable parameter in those
+        stages, all of them without an adapter bank, else the stages
+        before the first fused one."""
+        enc_cfg = self.encoder_config
+        if enc_cfg.drop_path_rate > 0:
+            return 0
+        n = enc_cfg.num_stages if self.bank is None else min(self.density.active_stages) - 1
+        prefix = tuple(f"encoder.stage{s}." for s in range(1, n + 1))
+        if any(p.requires_grad and name.startswith(prefix)
+               for enc in self.encoders for name, p in enc.named_parameters()):
+            return 0
+        return n
+
+    def encode(self, images, train: bool = False,
+               stages: Optional[int] = None) -> list[list[Tensor]]:
+        """Per-modality feature pyramids (stitched in active stages).
+
+        A modality may be given as the list of its first k stage maps
+        (arrays) instead of its image; encoding then starts at stage k + 1.
+        ``stages`` stops after that many stages."""
         xs = self._coerce(images)
         return fused_encode(self.encoders, xs, self.bank, self.density,
-                            train, self.rng if train else None)
+                            train, self.rng if train else None, stages)
 
     def forward(self, images, train: bool = False) -> Tensor:
         """Class logits on the finest feature grid [B, K, H/s1, W/s1]."""

@@ -211,14 +211,16 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate ``grad`` on every requires-grad ancestor of ``loss``.
+    """Populate ``grad`` on every requires-grad leaf ancestor of ``loss``.
 
-    Repeated calls (without zeroing) accumulate one gradient's worth per
-    call. The reverse sweep follows tape order, so accumulation order is
-    deterministic for a fixed forward order. Backward rules return
-    ``None`` for inputs that did not require a gradient when their node
-    was recorded, and those inputs are skipped. Nodes dropped by
-    ``Tape.clear`` are not visited.
+    Leaves are tensors no recorded op produced (parameters, inputs);
+    intermediate results get no ``grad``, so their gradient buffers are
+    freed as the sweep passes them. Repeated calls (without zeroing)
+    accumulate one gradient's worth per call. The reverse sweep follows
+    tape order, so accumulation order is deterministic for a fixed
+    forward order. Backward rules return ``None`` for inputs that did
+    not require a gradient when their node was recorded, and those
+    inputs are skipped. Nodes dropped by ``Tape.clear`` are not visited.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
@@ -232,12 +234,9 @@ def backward(loss: Tensor) -> None:
             marked.add(id(node))
             stack.extend(node.inputs)
 
-    # Per-call contribution buffers; deposited into .grad exactly once.
+    # Per-call contribution buffers; deposited into leaf .grad exactly once.
     contrib: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     holders: dict[int, Tensor] = {id(loss): loss}
-
-    def deposit(t: Tensor, g: np.ndarray) -> None:
-        t.grad = g if t.grad is None else t.grad + g
 
     for node in reversed(_TAPE._nodes):
         if id(node) not in marked:
@@ -246,7 +245,6 @@ def backward(loss: Tensor) -> None:
         if g_out is None:
             continue
         holders.pop(id(node.output), None)
-        deposit(node.output, g_out)
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue
@@ -257,7 +255,9 @@ def backward(loss: Tensor) -> None:
                 contrib[key] = g
                 holders[key] = t
     for key, g in contrib.items():
-        deposit(holders[key], g)
+        t = holders[key]
+        if t._node is None:
+            t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------

@@ -137,39 +137,71 @@ class AdamW:
 def train_step(model: FusionModel, images: dict, labels: np.ndarray,
                optimizer: AdamW, lr: float,
                ignore_index: int = 255) -> float:
-    """One forward/backward/update on the trainable parameters only."""
+    """One forward/backward/update on the trainable parameters only.
+
+    ``images`` may carry cached leading encoder stages in place of a
+    modality's image (see ``FusionModel.encode``)."""
     tape = active_tape()
     tape.clear()
-    h, w = labels.shape[-2], labels.shape[-1]
-    logits = model.logits_at(images, h, w, train=True)
-    loss = cross_entropy(logits, labels, ignore_index)
-    value = loss.item()
-    if not math.isfinite(value):
-        raise TrainingError(f"non-finite loss {value!r} at optimizer step "
-                            f"{optimizer.t + 1}")
-    backward(loss)
-    optimizer.lr = lr
-    optimizer.step()
-    optimizer.zero_grad()
-    tape.clear()
-    return value
+    try:
+        h, w = labels.shape[-2], labels.shape[-1]
+        logits = model.logits_at(images, h, w, train=True)
+        loss = cross_entropy(logits, labels, ignore_index)
+        value = loss.item()
+        if not math.isfinite(value):
+            raise TrainingError(f"non-finite loss {value!r} at optimizer step "
+                                f"{optimizer.t + 1}")
+        backward(loss)
+        optimizer.lr = lr
+        optimizer.step()
+        optimizer.zero_grad()
+        return value
+    finally:
+        tape.clear()
+
+
+def _frozen_features(model: FusionModel, stages: int, cache: dict,
+                     keys: list[int], images: dict) -> dict:
+    """The batch's first ``stages`` encoder maps per modality, stacked
+    from ``cache`` (dataset index -> per-modality lists of per-sample
+    maps). Samples not cached yet are encoded first, without a graph."""
+    missing = [j for j, k in enumerate(keys) if k not in cache]
+    if missing:
+        with no_grad():
+            pyramids = model.encode({name: img[missing] for name, img in images.items()},
+                                    stages=stages)
+        for row, j in enumerate(missing):
+            cache[keys[j]] = [[f.data[row] for f in pyramid] for pyramid in pyramids]
+    return {name: [np.stack([cache[k][m][s] for k in keys]) for s in range(stages)]
+            for m, name in enumerate(model.config.modalities)}
 
 
 def fit(model: FusionModel, dataset: SceneDataset, cfg: TrainConfig,
         log: Optional[Callable[[dict], None]] = None) -> list[dict]:
-    """Train for ``cfg.epochs`` epochs; returns per-epoch history."""
+    """Train for ``cfg.epochs`` epochs; returns per-epoch history.
+
+    The model's frozen leading encoder stages (``frozen_stages``) are
+    computed once per sample, outside ``train_step``, and reused by every
+    later epoch of this call."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
     optimizer = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr,
                       beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
                       weight_decay=cfg.weight_decay)
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
+    frozen = model.frozen_stages()
+    # batches hold samples, not indices; the cache is keyed by dataset index
+    index = {id(sample): i for i, sample in enumerate(dataset.samples)}
+    cache: dict[int, list] = {}
     history = []
     for epoch in range(cfg.epochs):
         losses = []
         for step, batch in enumerate(batch_iter(dataset, cfg.batch_size,
                                                 shuffle_seed=cfg.seed, epoch=epoch)):
             images, labels = stack_batch(batch, model.config.modalities)
+            if frozen:
+                images = _frozen_features(model, frozen, cache,
+                                          [index[id(s)] for s in batch], images)
             lr = lr_at(epoch + step / steps_per_epoch, cfg)
             losses.append(train_step(model, images, labels, optimizer, lr,
                                      dataset.ignore_index))

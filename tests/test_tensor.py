@@ -468,3 +468,31 @@ def test_grad_matches_data_shape_after_backward():
     x = t(np.ones((2, 5)), rg=True)
     af.backward(af.tsum(x * x))
     assert x.grad.shape == x.data.shape
+
+
+def test_backward_stores_grad_on_leaves_only():
+    """Intermediate outputs get no ``grad``; leaf gradients equal a plain
+    reverse sweep over the tape that accumulates in the same order."""
+    model = af.FusionModel(af.ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
+                                          bottleneck=4, num_classes=3,
+                                          dtype="float32", seed=5))
+    rng = np.random.default_rng(5)
+    images = [rng.random((2, 1, 32, 32)) for _ in range(2)]
+    loss = af.tsum(model.forward(images, train=True))
+    nodes = list(af.active_tape()._nodes)
+
+    grads = {id(loss): np.ones_like(loss.data)}
+    for node in reversed(nodes):
+        g_out = grads.get(id(node.output))
+        if g_out is None:
+            continue
+        for x, g in zip(node.inputs, node.backward_fn(g_out)):
+            if g is not None and x.requires_grad:
+                grads[id(x)] = grads[id(x)] + g if id(x) in grads else g
+
+    af.backward(loss)
+    assert all(node.output.grad is None for node in nodes)
+    leaves = [p for _, p in model.trainable_parameters()]
+    assert all(p.grad is not None for p in leaves)
+    for p in leaves:
+        assert p.grad.tobytes() == grads[id(p)].tobytes()

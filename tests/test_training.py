@@ -2,12 +2,15 @@
 
 import gc
 import json
+import math
 
 import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse.data import SceneDataset, generate_synthetic, stack_batch
+from adafuse import training
+from adafuse.data import SceneDataset, batch_iter, generate_synthetic, stack_batch
+from adafuse.encoder import Encoder, PatchEmbed, TransformerBlock
 from adafuse.gradcheck import grad_check_params
 from adafuse.training import (AdamW, CheckpointError, ConfusionMatrix,
                               TrainConfig, TrainingError, cross_entropy,
@@ -252,6 +255,17 @@ def test_non_finite_loss_aborts_with_diagnostic():
         train_step(model, images, labels, opt, lr=1e-3)
 
 
+def test_non_finite_loss_frees_the_graph():
+    model = tiny_model(seed=3)
+    model.decoder.cls_w.data[...] = np.inf
+    ds = tiny_dataset(n=2, seed=3)
+    images, labels = stack_batch(ds.samples, model.config.modalities)
+    opt = AdamW([p for _, p in model.trainable_parameters()], lr=1e-3)
+    with np.errstate(invalid="ignore"), pytest.raises(TrainingError):
+        train_step(model, images, labels, opt, lr=1e-3)
+    assert len(af.active_tape()) == 0
+
+
 def test_grads_cleared_after_step():
     model = tiny_model(seed=4)
     ds = tiny_dataset(n=2, seed=4)
@@ -298,6 +312,110 @@ def test_identical_config_and_seed_give_bit_identical_metrics():
         results.append(evaluate(model, ds))
     assert results[0]["miou"] == results[1]["miou"]
     assert results[0]["confusion"] == results[1]["confusion"]
+
+
+# ---------------------------------------------------------------------
+# frozen-prefix feature cache in fit
+# ---------------------------------------------------------------------
+
+def staged_model(modalities, stages, seed=11, **extra):
+    cfg = af.ModelConfig(preset="tiny", modalities=modalities,
+                         channels=(1,) * len(modalities), active_stages=stages,
+                         bottleneck=4, num_classes=5, dtype="float32", seed=seed,
+                         **extra)
+    return af.FusionModel(cfg)
+
+
+def reference_fit(model, dataset, cfg):
+    """``fit`` without the cache: ``train_step`` on raw stacked images."""
+    opt = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr,
+                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
+                weight_decay=cfg.weight_decay)
+    steps = math.ceil(len(dataset) / cfg.batch_size)
+    for epoch in range(cfg.epochs):
+        for step, batch in enumerate(batch_iter(dataset, cfg.batch_size,
+                                                shuffle_seed=cfg.seed, epoch=epoch)):
+            images, labels = stack_batch(batch, model.config.modalities)
+            train_step(model, images, labels, opt, lr_at(epoch + step / steps, cfg),
+                       dataset.ignore_index)
+
+
+@pytest.mark.parametrize("modalities,stages,frozen", [
+    (("vis",), (1, 2, 3, 4), 4),
+    (("vis", "ir"), (2, 3, 4), 1),
+    (("vis", "ir"), (1, 2, 3, 4), 0),
+])
+def test_fit_matches_uncached_reference_bitwise(modalities, stages, frozen):
+    ds = tiny_dataset(n=7, seed=11)
+    cfg = TrainConfig(base_lr=1e-2, warmup_epochs=1, epochs=3, batch_size=3, seed=11)
+    cached, plain = staged_model(modalities, stages), staged_model(modalities, stages)
+    assert cached.frozen_stages() == frozen
+    fit(cached, ds, cfg)
+    reference_fit(plain, ds, cfg)
+    for (name, a), (_, b) in zip(cached.named_parameters(), plain.named_parameters()):
+        assert a.data.tobytes() == b.data.tobytes(), name
+
+
+def test_frozen_stage_count():
+    assert staged_model(("vis",), (1, 2, 3, 4)).frozen_stages() == 4
+    assert staged_model(("vis", "ir"), (3, 4)).frozen_stages() == 2
+    assert staged_model(("vis", "ir"), (1, 2, 3, 4)).frozen_stages() == 0
+    assert staged_model(("vis",), (1, 2, 3, 4), drop_path_rate=0.1).frozen_stages() == 0
+    model = staged_model(("vis", "ir"), (3, 4))
+    model.encoders[1].set_trainable(True)
+    assert model.frozen_stages() == 0
+
+
+def test_fit_encodes_each_sample_prefix_once(monkeypatch):
+    model = staged_model(("vis", "ir"), (3, 4))
+    ds = tiny_dataset(n=7, seed=12)
+    first_embed = model.encoders[0].patch_embeds[0]
+    original = PatchEmbed.__call__
+    seen = []
+
+    def counting(self, x):
+        if self is first_embed:
+            seen.extend(row.tobytes() for row in x.data)
+        return original(self, x)
+
+    monkeypatch.setattr(PatchEmbed, "__call__", counting)
+    fit(model, ds, TrainConfig(base_lr=1e-2, warmup_epochs=0, epochs=3, batch_size=3,
+                               seed=12))
+    expected = [s.images["vis"].astype(np.float32).tobytes() for s in ds.samples]
+    assert sorted(seen) == sorted(expected)
+
+
+def test_fit_calls_train_step_as_the_benchmark_hook_expects(monkeypatch):
+    """The benchmark swaps ``training.train_step`` for a timing wrapper
+    and calls the original with six positional arguments. Every step must
+    reach the wrapper, and with the whole encoder cached none of the
+    encoder's modules may run inside it."""
+    model = staged_model(("vis",), (1, 2, 3, 4))
+    ds = tiny_dataset(n=7, seed=13)
+    cfg = TrainConfig(base_lr=1e-2, warmup_epochs=0, epochs=3, batch_size=3, seed=13)
+    runs = {"encoder": 0}
+    for owner, attr in ((PatchEmbed, "__call__"),
+                        (TransformerBlock, "__call__"),
+                        (Encoder, "stage_norm")):
+        def counted(*args, _original=getattr(owner, attr), **kwargs):
+            runs["encoder"] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, attr, counted)
+    step_fn = training.train_step
+    calls = []
+
+    def wrapper(*args, **kwargs):
+        before = runs["encoder"]
+        m, images, labels, optimizer, lr, ignore_index = args
+        loss = step_fn(m, images, labels, optimizer, lr, ignore_index)
+        calls.append((len(args), kwargs, runs["encoder"] - before))
+        return loss
+
+    monkeypatch.setattr(training, "train_step", wrapper)
+    fit(model, ds, cfg)
+    assert len(calls) == cfg.epochs * math.ceil(len(ds) / cfg.batch_size)
+    assert all(c == (6, {}, 0) for c in calls)
+    assert runs["encoder"] > 0          # the prefix ran, outside the steps
 
 
 # ---------------------------------------------------------------------
