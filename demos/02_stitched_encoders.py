@@ -11,9 +11,9 @@
 import numpy as np
 
 import adafuse as af
-from adafuse.adapters import (DensityConfig, build_adapter_bank,
-                              check_density_equivalence, fused_encode)
+from adafuse.adapters import DensityConfig, build_adapter_bank, fused_encode
 from adafuse.encoder import Encoder, EncoderConfig
+from adafuse.verification import check_density_equivalence
 
 cfg = EncoderConfig.preset("tiny")
 encoders = [Encoder(cfg, in_channels=1, seed=(0, i)) for i in range(2)]

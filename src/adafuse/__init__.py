@@ -9,10 +9,10 @@ from .tensor import (Tensor, Tape, ShapeError, active_tape, backward, no_grad,
 from .gradcheck import grad_check, grad_check_params, relative_error
 from .encoder import Encoder, EncoderConfig, TransformerBlock, tokens_to_map, map_to_tokens
 from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
-                       build_adapter_bank, check_density_equivalence,
-                       fused_block_forward, fused_encode, routes_for)
+                       build_adapter_bank, fused_block_forward, fused_encode,
+                       routes_for)
 from .heads import Decoder, FeatureFusion, modal_merge
-from .model import FusionModel, ModelConfig, build_model
+from .model import FusionModel, ModelConfig
 from .budget import (CountSpec, adapter_param_count, analytic_count,
                      budget_report, empirical_count, route_multiplier)
 from .data import (IGNORE_INDEX, DatasetError, MultimodalSample, SceneDataset,
@@ -22,5 +22,6 @@ from .training import (AdamW, CheckpointError, ConfusionMatrix, TrainConfig,
                        TrainingError, cross_entropy, evaluate, fit,
                        format_metrics, load_adapter_checkpoint,
                        load_checkpoint, lr_at, save_checkpoint, train_step)
+from .verification import check_density_equivalence
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .encoder import Encoder, EncoderConfig, tokens_to_map
-from .initializers import derive_rng, trunc_normal, zeros
+from .initializers import Module, derive_rng, trunc_normal, zeros
 from .tensor import Tensor, ShapeError, drop_path, dropout, gelu, matmul
 
 
@@ -55,7 +55,7 @@ class DensityConfig:
         object.__setattr__(self, "active_stages", stages)
 
 
-class CrossModalAdapter:
+class CrossModalAdapter(Module):
     """Down-project / mid / up-project bottleneck MLP.
 
     forward: up(dropout(gelu(mid(down(x))))), where down is d->r, mid is
@@ -85,15 +85,6 @@ class CrossModalAdapter:
         mid = gelu(matmul(down, self.w_mid) + self.b_mid)
         mid = dropout(mid, self.dropout_rate, train, rng)
         return matmul(mid, self.w_up) + self.b_up
-
-    def parameters(self) -> tuple[Tensor, ...]:
-        return (self.w_down, self.b_down, self.w_mid, self.b_mid,
-                self.w_up, self.b_up)
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name, p in zip(("w_down", "b_down", "w_mid", "b_mid", "w_up", "b_up"),
-                           self.parameters()):
-            yield f"{prefix}.{name}", p
 
     def copy_weights_from(self, other: "CrossModalAdapter") -> None:
         for mine, theirs in zip(self.parameters(), other.parameters()):
@@ -194,32 +185,24 @@ def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
             raise ShapeError(f"modality token shapes differ: {shape0} vs {x.shape}")
     stitch = bank is not None and m >= 2
 
-    normed1 = [blocks[i].norm1(xs[i]) for i in range(m)]
-    z_attn = [xs[i] + drop_path(blocks[i].attn(normed1[i], h, w),
-                                blocks[i].drop_path_rate, train, rng)
-              for i in range(m)]
-    if stitch:
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                ada = bank.get(stage, block_idx, 1, i, j)
-                z_attn[j] = z_attn[j] + drop_path(
-                    ada(normed1[i], train, rng), blocks[j].drop_path_rate, train, rng)
-
-    normed2 = [blocks[i].norm2(z_attn[i]) for i in range(m)]
-    z_mlp = [z_attn[i] + drop_path(blocks[i].mlp(normed2[i]),
-                                   blocks[i].drop_path_rate, train, rng)
-             for i in range(m)]
-    if stitch:
-        for i in range(m):
-            for j in range(m):
-                if i == j:
-                    continue
-                ada = bank.get(stage, block_idx, 2, i, j)
-                z_mlp[j] = z_mlp[j] + drop_path(
-                    ada(normed2[i], train, rng), blocks[j].drop_path_rate, train, rng)
-    return z_mlp
+    zs = list(xs)
+    for position in (1, 2):
+        if position == 1:
+            normed = [blk.norm1(z) for blk, z in zip(blocks, zs)]
+        else:
+            normed = [blk.norm2(z) for blk, z in zip(blocks, zs)]
+        zs = [z + drop_path(blk.attn(x, h, w) if position == 1 else blk.mlp(x),
+                            blk.drop_path_rate, train, rng)
+              for blk, z, x in zip(blocks, zs, normed)]
+        if stitch:
+            for i in range(m):
+                for j in range(m):
+                    if i == j:
+                        continue
+                    ada = bank.get(stage, block_idx, position, i, j)
+                    zs[j] = zs[j] + drop_path(
+                        ada(normed[i], train, rng), blocks[j].drop_path_rate, train, rng)
+    return zs
 
 
 def fused_encode(encoders: list[Encoder], images: list,
@@ -267,88 +250,3 @@ def fused_encode(encoders: list[Encoder], images: list,
             pyramids[i].append(current[i])
     return pyramids
 
-
-# ---------------------------------------------------------------------
-# density equivalence verification
-# ---------------------------------------------------------------------
-
-def _copy_bank_weights(dst: AdapterBank, src_weights: dict) -> None:
-    for (stage, block, pos, _route), adapter in dst.adapters.items():
-        adapter.copy_weights_from(src_weights[(stage, block, pos)])
-
-
-def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
-                              dtype=np.float64) -> dict:
-    """Verify the two-modality density equivalences, and that they break
-    for three modalities.
-
-    With M=2 there is exactly one modality pair, so a shared bank and a
-    pair-bidirectional bank with copied weights are the same function;
-    a pair-unidirectional bank with both directions tied matches too.
-    With M=3, independently initialized per-pair adapters differ from a
-    shared one.
-    """
-    config = EncoderConfig.preset("tiny")
-    density_kwargs = dict(active_stages=(1, 2, 3, 4))
-    report = {"m2_shared_vs_pair_bi": None, "m2_tied_uni_vs_pair_bi": None,
-              "m3_shared_vs_pair_bi_differ": None, "passed": False}
-
-    encoders = [Encoder(config, 1, seed=seed * 7 + i, dtype=dtype) for i in range(2)]
-    banks = {}
-    for variant in Density:
-        banks[variant] = build_adapter_bank(
-            2, config, DensityConfig(variant, **density_kwargs), bottleneck=4,
-            seed=seed, dropout_rate=0.0, dtype=dtype)
-    # One reference weight set per (stage, block, position), copied into
-    # every route of every bank. Up-projections are randomized first; at
-    # their zero init every density is trivially identical.
-    reference = {}
-    fill = np.random.default_rng(seed + 101)
-    for (stage, block, pos, route), adapter in sorted(banks[Density.SHARED].adapters.items()):
-        adapter.w_up.data[...] = fill.normal(0.0, 0.05, adapter.w_up.shape)
-        adapter.b_up.data[...] = fill.normal(0.0, 0.05, adapter.b_up.shape)
-        reference[(stage, block, pos)] = adapter
-    for variant in (Density.PAIR_BIDIRECTIONAL, Density.PAIR_UNIDIRECTIONAL):
-        _copy_bank_weights(banks[variant], reference)
-
-    rng = np.random.default_rng(seed)
-    same_bi = True
-    same_uni = True
-    for _ in range(num_inputs):
-        imgs = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(2)]
-        outs = {}
-        for variant in Density:
-            pyr = fused_encode(encoders, imgs, banks[variant],
-                               DensityConfig(variant, **density_kwargs))
-            outs[variant] = [f.data for p in pyr for f in p]
-        same_bi &= all(np.array_equal(a, b) for a, b in
-                       zip(outs[Density.SHARED], outs[Density.PAIR_BIDIRECTIONAL]))
-        same_uni &= all(np.array_equal(a, b) for a, b in
-                        zip(outs[Density.PAIR_UNIDIRECTIONAL], outs[Density.PAIR_BIDIRECTIONAL]))
-    report["m2_shared_vs_pair_bi"] = bool(same_bi)
-    report["m2_tied_uni_vs_pair_bi"] = bool(same_uni)
-
-    # M=3: independently initialized pair adapters cannot all equal the
-    # shared one, so outputs must differ.
-    encoders3 = [Encoder(config, 1, seed=seed * 11 + i, dtype=dtype) for i in range(3)]
-    shared3 = build_adapter_bank(3, config, DensityConfig(Density.SHARED, **density_kwargs),
-                                 bottleneck=4, seed=seed, dropout_rate=0.0, dtype=dtype)
-    pair3 = build_adapter_bank(3, config, DensityConfig(Density.PAIR_BIDIRECTIONAL,
-                                                        **density_kwargs),
-                               bottleneck=4, seed=seed + 1, dropout_rate=0.0, dtype=dtype)
-    # Nonzero, per-adapter up-projections so the routing shows in outputs.
-    filler = np.random.default_rng(seed + 2)
-    for bank3 in (shared3, pair3):
-        for _key, adapter in sorted(bank3.adapters.items()):
-            adapter.w_up.data[...] = filler.normal(0.0, 0.05, adapter.w_up.shape)
-    imgs3 = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(3)]
-    out_shared = fused_encode(encoders3, imgs3, shared3,
-                              DensityConfig(Density.SHARED, **density_kwargs))
-    out_pair = fused_encode(encoders3, imgs3, pair3,
-                            DensityConfig(Density.PAIR_BIDIRECTIONAL, **density_kwargs))
-    max_diff = max(float(np.max(np.abs(a.data - b.data)))
-                   for pa, pb in zip(out_shared, out_pair) for a, b in zip(pa, pb))
-    report["m3_shared_vs_pair_bi_differ"] = max_diff > 0.0
-    report["m3_max_abs_diff"] = max_diff
-    report["passed"] = bool(same_bi and same_uni and max_diff > 0.0)
-    return report

@@ -9,20 +9,27 @@ model and any single-modality baseline is built into the data.
 Disk layout: a directory with ``manifest.json`` plus one raw blob per
 image (little-endian float32, row-major C x H x W) and per label map
 (little-endian uint16, H x W). Blob paths in the manifest are relative
-to the directory.
+to the directory. Checkpoints use the same manifest+blob store
+(``write_store``, ``read_manifest``, ``read_blob``).
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
 FORMAT_VERSION = 1
 IGNORE_INDEX = 255
+MANIFEST = "manifest.json"
+# manifest kind -> what error messages call it
+_KINDS = {"dataset": "dataset", "checkpoint": "full checkpoint",
+          "checkpoint-adapters": "adapters-only checkpoint"}
 
 
 class DatasetError(ValueError):
@@ -133,35 +140,60 @@ def generate_synthetic(num_samples: int, height: int, width: int,
 # persistence
 # ---------------------------------------------------------------------
 
-def save_dataset(dataset: SceneDataset, directory) -> Path:
+def write_store(directory, kind: str, fields: dict,
+                blobs: Iterable[tuple[str, np.ndarray]]) -> Path:
+    """Write a manifest+blob directory; datasets and checkpoints share it.
+
+    ``blobs`` are (path relative to the directory, array in its on-disk
+    dtype) pairs that ``fields`` refers to. An existing manifest is
+    removed first and the new one is moved into place only after every
+    blob is written, so a save interrupted partway leaves no manifest,
+    never one that mixes two saves.
+    """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    records = []
-    for i, sample in enumerate(dataset.samples):
-        rec = {"images": {}, "label": None}
-        for name, img in sample.images.items():
-            path = f"s{i:05d}_{name}.bin"
-            (out / path).write_bytes(img.astype("<f4").tobytes())
-            rec["images"][name] = {"path": path, "shape": list(img.shape)}
-        lpath = f"s{i:05d}_label.bin"
-        (out / lpath).write_bytes(sample.label.astype("<u2").tobytes())
-        rec["label"] = {"path": lpath, "shape": list(sample.label.shape)}
-        records.append(rec)
-    manifest = {
-        "version": FORMAT_VERSION,
-        "kind": "dataset",
-        "seed": dataset.seed,
-        "split": dataset.split,
-        "num_classes": dataset.num_classes,
-        "ignore_index": dataset.ignore_index,
-        "height": dataset.height,
-        "width": dataset.width,
-        "modalities": [{"name": n, "channels": c} for n, c in dataset.modalities],
-        "class_visibility": {str(k): list(v) for k, v in dataset.class_visibility.items()},
-        "samples": records,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    (out / MANIFEST).unlink(missing_ok=True)
+    for path, array in blobs:
+        (out / path).write_bytes(array.tobytes())
+    manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
+    tmp = out / (MANIFEST + ".tmp")
+    tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    os.replace(tmp, out / MANIFEST)
     return out
+
+
+def read_manifest(directory, kind: str,
+                  error: type[Exception] = DatasetError) -> dict:
+    """The manifest of a ``write_store`` directory, checked for
+    existence, JSON syntax, format version and ``kind``; any violation
+    raises ``error``."""
+    mpath = Path(directory) / MANIFEST
+    if not mpath.exists():
+        raise error(f"no {MANIFEST} under {directory}")
+    try:
+        manifest = json.loads(mpath.read_text(encoding="utf-8"))
+    except ValueError as exc:          # JSON syntax or UTF-8 decoding
+        raise error(f"unreadable {mpath}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise error(f"{mpath} does not hold a JSON object")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise error(f"unsupported manifest version {manifest.get('version')!r}, "
+                    f"this reader handles {FORMAT_VERSION}")
+    if manifest.get("kind") != kind:
+        raise error(f"manifest kind {manifest.get('kind')!r} is not a {_KINDS[kind]}")
+    return manifest
+
+
+@contextlib.contextmanager
+def manifest_fields(error: type[Exception] = DatasetError) -> Iterator[None]:
+    """Raise ``error`` for a missing or ill-typed manifest field read
+    inside the block."""
+    try:
+        yield
+    except error:
+        raise
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise error(f"malformed manifest: {type(exc).__name__}: {exc}") from None
 
 
 def read_blob(root: Path, entry: dict, dtype: str,
@@ -170,7 +202,7 @@ def read_blob(root: Path, entry: dict, dtype: str,
 
     The path must be relative and stay inside ``root``, and the file must
     hold exactly the bytes ``shape`` and ``dtype`` need; any violation
-    raises ``error``. Datasets and checkpoints share this reader.
+    raises ``error``.
     """
     path = entry["path"]
     if Path(path).is_absolute() or ".." in Path(path).parts:
@@ -187,36 +219,54 @@ def read_blob(root: Path, entry: dict, dtype: str,
     return np.frombuffer(blob.read_bytes(), dtype=dtype).reshape(shape).copy()
 
 
+def save_dataset(dataset: SceneDataset, directory) -> Path:
+    records, blobs = [], []
+    for i, sample in enumerate(dataset.samples):
+        rec = {"images": {}, "label": None}
+        for name, img in sample.images.items():
+            path = f"s{i:05d}_{name}.bin"
+            blobs.append((path, img.astype("<f4", copy=False)))
+            rec["images"][name] = {"path": path, "shape": list(img.shape)}
+        lpath = f"s{i:05d}_label.bin"
+        blobs.append((lpath, sample.label.astype("<u2", copy=False)))
+        rec["label"] = {"path": lpath, "shape": list(sample.label.shape)}
+        records.append(rec)
+    return write_store(directory, "dataset", {
+        "seed": dataset.seed,
+        "split": dataset.split,
+        "num_classes": dataset.num_classes,
+        "ignore_index": dataset.ignore_index,
+        "height": dataset.height,
+        "width": dataset.width,
+        "modalities": [{"name": n, "channels": c} for n, c in dataset.modalities],
+        "class_visibility": {str(k): list(v) for k, v in dataset.class_visibility.items()},
+        "samples": records,
+    }, blobs)
+
+
 def load_dataset(directory) -> SceneDataset:
     root = Path(directory)
-    mpath = root / "manifest.json"
-    if not mpath.exists():
-        raise DatasetError(f"no manifest.json under {root}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    if manifest.get("version") != FORMAT_VERSION:
-        raise DatasetError(f"unsupported dataset version {manifest.get('version')!r}, "
-                           f"this reader handles {FORMAT_VERSION}")
-    if manifest.get("kind") != "dataset":
-        raise DatasetError(f"manifest kind {manifest.get('kind')!r} is not a dataset")
-    num_classes = int(manifest["num_classes"])
-    ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
-    samples = []
-    for rec in manifest["samples"]:
-        images = {name: read_blob(root, entry, "<f4")
-                  for name, entry in rec["images"].items()}
-        label = read_blob(root, rec["label"], "<u2")
-        bad = (label >= num_classes) & (label != ignore)
-        if bad.any():
-            raise DatasetError(f"label {rec['label']['path']!r} holds class ids "
-                               f">= {num_classes}")
-        samples.append(MultimodalSample(images, label))
-    visibility = {int(k): tuple(v)
-                  for k, v in manifest.get("class_visibility", {}).items()}
-    return SceneDataset(
-        samples, num_classes, int(manifest["height"]), int(manifest["width"]),
-        [(m["name"], int(m["channels"])) for m in manifest["modalities"]],
-        int(manifest["seed"]), manifest.get("split", "train"), ignore,
-        visibility)
+    manifest = read_manifest(root, "dataset")
+    with manifest_fields():
+        num_classes = int(manifest["num_classes"])
+        ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
+        samples = []
+        for rec in manifest["samples"]:
+            images = {name: read_blob(root, entry, "<f4")
+                      for name, entry in rec["images"].items()}
+            label = read_blob(root, rec["label"], "<u2")
+            bad = (label >= num_classes) & (label != ignore)
+            if bad.any():
+                raise DatasetError(f"label {rec['label']['path']!r} holds class ids "
+                                   f">= {num_classes}")
+            samples.append(MultimodalSample(images, label))
+        visibility = {int(k): tuple(v)
+                      for k, v in manifest.get("class_visibility", {}).items()}
+        return SceneDataset(
+            samples, num_classes, int(manifest["height"]), int(manifest["width"]),
+            [(m["name"], int(m["channels"])) for m in manifest["modalities"]],
+            int(manifest["seed"]), manifest.get("split", "train"), ignore,
+            visibility)
 
 
 # ---------------------------------------------------------------------

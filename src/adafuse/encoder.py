@@ -13,7 +13,7 @@ from typing import Iterator, Optional
 
 import numpy as np
 
-from .initializers import derive_rng, ones, trunc_normal, zeros
+from .initializers import Module, derive_rng, ones, trunc_normal, zeros
 from .tensor import (Tensor, ShapeError, drop_path, extract_patches, gelu,
                      layer_norm, matmul, reshape, softmax, transpose)
 
@@ -43,10 +43,6 @@ class EncoderConfig:
     def num_stages(self) -> int:
         return len(self.dims)
 
-    @property
-    def total_stride(self) -> int:
-        return int(np.prod(self.strides))
-
     @staticmethod
     def preset(name: str) -> "EncoderConfig":
         if name == "tiny":
@@ -70,7 +66,7 @@ def map_to_tokens(x: Tensor) -> Tensor:
     return reshape(transpose(x, (0, 2, 3, 1)), (b, h * w, c))
 
 
-class PatchEmbed:
+class PatchEmbed(Module):
     """Overlapping strided linear patch projection + layer norm."""
 
     def __init__(self, in_channels: int, dim: int, stride: int,
@@ -95,14 +91,8 @@ class PatchEmbed:
         tokens = layer_norm(tokens, self.norm_gamma, self.norm_beta)
         return tokens, (h // self.stride, w // self.stride)
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.weight", self.weight
-        yield f"{prefix}.bias", self.bias
-        yield f"{prefix}.norm_gamma", self.norm_gamma
-        yield f"{prefix}.norm_beta", self.norm_beta
 
-
-class Attention:
+class Attention(Module):
     """Multi-head scaled dot-product attention with optional K/V
     spatial reduction (keys and values computed on an sr x sr pooled
     token grid)."""
@@ -160,17 +150,8 @@ class Attention:
         ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
         return matmul(ctx, self.wo) + self.bo
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo"):
-            yield f"{prefix}.{name}", getattr(self, name)
-        if self.sr_ratio > 1:
-            yield f"{prefix}.w_sr", self.w_sr
-            yield f"{prefix}.b_sr", self.b_sr
-            yield f"{prefix}.sr_gamma", self.sr_gamma
-            yield f"{prefix}.sr_beta", self.sr_beta
 
-
-class Mlp:
+class Mlp(Module):
     def __init__(self, dim: int, hidden: int, rng: np.random.Generator, dtype=np.float64):
         self.w1 = trunc_normal((dim, hidden), rng, dtype=dtype)
         self.b1 = trunc_normal(hidden, rng, dtype=dtype)
@@ -180,12 +161,8 @@ class Mlp:
     def __call__(self, x: Tensor) -> Tensor:
         return matmul(gelu(matmul(x, self.w1) + self.b1), self.w2) + self.b2
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
-
-class TransformerBlock:
+class TransformerBlock(Module):
     """Pre-norm attention + MLP block with per-branch drop-path.
 
     The forward pass returns both residual states: the post-attention
@@ -216,14 +193,6 @@ class TransformerBlock:
         branch = self.mlp(self.norm2(z_attn))
         z_mlp = z_attn + drop_path(branch, self.drop_path_rate, train, rng)
         return z_attn, z_mlp
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        yield f"{prefix}.ln1_gamma", self.ln1_gamma
-        yield f"{prefix}.ln1_beta", self.ln1_beta
-        yield from self.attn.named_parameters(f"{prefix}.attn")
-        yield f"{prefix}.ln2_gamma", self.ln2_gamma
-        yield f"{prefix}.ln2_beta", self.ln2_beta
-        yield from self.mlp.named_parameters(f"{prefix}.mlp")
 
 
 class Encoder:

@@ -14,7 +14,7 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .encoder import EncoderConfig, map_to_tokens, tokens_to_map
-from .initializers import trunc_normal, zeros
+from .initializers import Module, trunc_normal, zeros
 from .tensor import (Tensor, ShapeError, concat, gelu, matmul,
                      upsample_bilinear)
 
@@ -23,7 +23,7 @@ _GELU_AT_3 = 3.0 * 0.9986501019683699          # x * Phi(x) at x = 3
 _GELU_SLOPE_AT_3 = 1.0119451974987552           # Phi(3) + 3 * pdf(3)
 
 
-class StageFusion:
+class StageFusion(Module):
     """Concat-project-GELU-project merge for one pyramid stage.
 
     Initialized to approximate the modality mean: stacked identities/M
@@ -47,10 +47,6 @@ class StageFusion:
     def __call__(self, stacked_tokens: Tensor) -> Tensor:
         hidden = gelu(matmul(stacked_tokens, self.w1) + self.b1)
         return matmul(hidden, self.w2) + self.b2
-
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
-        for name in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}.{name}", getattr(self, name)
 
 
 class FeatureFusion:

@@ -1,4 +1,4 @@
-"""Parameter initialization helpers.
+"""Parameter initialization helpers and the parameter registry.
 
 All randomness flows through numpy's PCG64 generators seeded from
 explicit integer sequences, so any parameter buffer is reproducible
@@ -6,6 +6,8 @@ from its seed path alone.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 import numpy as np
 
@@ -34,3 +36,23 @@ def zeros(shape, dtype=np.float64, trainable: bool = True) -> Tensor:
 
 def ones(shape, dtype=np.float64, trainable: bool = True) -> Tensor:
     return Tensor(np.ones(shape, dtype=dtype), requires_grad=trainable)
+
+
+class Module:
+    """Parameter registry for a layer that holds its tensors as attributes.
+
+    ``named_parameters(prefix)`` yields every ``Tensor`` attribute as
+    ``prefix.attr`` and every ``Module`` attribute's parameters as
+    ``prefix.attr.name``, in ``__init__`` assignment order. Those names
+    are the checkpoint format.
+    """
+
+    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
+        for attr, value in vars(self).items():
+            if isinstance(value, Tensor):
+                yield f"{prefix}.{attr}", value
+            elif isinstance(value, Module):
+                yield from value.named_parameters(f"{prefix}.{attr}")
+
+    def parameters(self) -> tuple[Tensor, ...]:
+        return tuple(p for _, p in self.named_parameters(""))

@@ -203,7 +203,3 @@ class FusionModel:
 
     def frozen_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, p) for n, p in self.named_parameters() if not p.requires_grad]
-
-
-def build_model(config: ModelConfig) -> FusionModel:
-    return FusionModel(config)

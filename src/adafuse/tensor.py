@@ -125,14 +125,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
     def detach(self) -> "Tensor":
         return Tensor(self.data, requires_grad=False)
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -554,9 +548,13 @@ def upsample_bilinear(x: Tensor, out_h: int, out_w: int) -> Tensor:
         raise ShapeError(f"upsample_bilinear cannot downscale {h}x{w} -> {out_h}x{out_w}")
     rows = _interp_matrix(out_h, h, x.dtype)
     cols = _interp_matrix(out_w, w, x.dtype)
-    out = np.einsum("ih,...hw,jw->...ij", rows, x.data, cols, optimize=True)
+    # named leading axes and a fixed contraction order (rows first): einsum
+    # names "..." axes, and optimize=True orders contractions, by the
+    # string-hash seed, and either changes the float summation order
+    lead, path = "abcdefg"[:x.ndim - 2], ["einsum_path", (0, 1), (0, 1)]
+    out = np.einsum(f"ih,{lead}hw,jw->{lead}ij", rows, x.data, cols, optimize=path)
 
     def bwd(g):
-        return (np.einsum("ih,...ij,jw->...hw", rows, g, cols, optimize=True),)
+        return (np.einsum(f"ih,{lead}ij,jw->{lead}hw", rows, g, cols, optimize=path),)
 
     return _make(out, (x,), bwd)

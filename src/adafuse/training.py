@@ -10,7 +10,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import SceneDataset, batch_iter, read_blob, stack_batch
+from .data import (SceneDataset, batch_iter, manifest_fields, read_blob,
+                   read_manifest, stack_batch, write_store)
 from .model import FusionModel, ModelConfig
 from .tensor import Tensor, active_tape, backward, log_softmax, mul, no_grad, tsum
 
@@ -235,9 +236,6 @@ class ConfusionMatrix:
         self.counts += np.bincount(idx, minlength=self.num_classes ** 2) \
             .reshape(self.num_classes, self.num_classes)
 
-    def merge(self, other: "ConfusionMatrix") -> None:
-        self.counts += other.counts
-
     def per_class_iou(self) -> np.ndarray:
         """IoU per class; NaN where a class is absent from both ground
         truth and prediction."""
@@ -299,69 +297,49 @@ def format_metrics(metrics: dict, method: str = "adafuse") -> tuple[str, str]:
 # checkpoints
 # ---------------------------------------------------------------------
 
-def _param_blob_name(index: int) -> str:
-    return f"p{index:05d}.bin"
-
-
 def save_checkpoint(model: FusionModel, directory, include: str = "all") -> Path:
     """Serialize configs + parameter buffers (bit-exact blobs).
 
     ``include='adapters'`` writes only the adapter bank, producing a
     partial checkpoint loadable onto a model with a matching backbone.
     """
-    out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
     named = list(model.named_parameters())
     if include == "adapters":
         named = [(n, p) for n, p in named if n.startswith("adapters.")]
     elif include != "all":
         raise ValueError(f"unknown include filter {include!r}")
     blob_dtype = _BLOB_DTYPES[model.config.dtype]
-    records = []
-    for i, (name, p) in enumerate(named):
-        path = _param_blob_name(i)
-        (out / path).write_bytes(p.data.astype(blob_dtype).tobytes())
-        records.append({"name": name, "path": path, "shape": list(p.shape)})
-    manifest = {
-        "version": 1,
-        "kind": "checkpoint" if include == "all" else "checkpoint-adapters",
-        "model_config": model.config.to_dict(),
-        "blob_dtype": blob_dtype,
-        "params": records,
-    }
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    return out
-
-
-def _load_manifest(directory) -> dict:
-    mpath = Path(directory) / "manifest.json"
-    if not mpath.exists():
-        raise CheckpointError(f"no manifest.json under {directory}")
-    manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    if manifest.get("version") != 1:
-        raise CheckpointError(f"unsupported checkpoint version "
-                              f"{manifest.get('version')!r}")
-    return manifest
+    records = [{"name": name, "path": f"p{i:05d}.bin", "shape": list(p.shape)}
+               for i, (name, p) in enumerate(named)]
+    blobs = [(rec["path"], p.data.astype(blob_dtype, copy=False))
+             for rec, (_, p) in zip(records, named)]
+    kind = "checkpoint" if include == "all" else "checkpoint-adapters"
+    return write_store(directory, kind, {"model_config": model.config.to_dict(),
+                                         "blob_dtype": blob_dtype,
+                                         "params": records}, blobs)
 
 
 def _load_blobs_into(model: FusionModel, manifest: dict, directory,
                      allow_partial: bool) -> None:
     lookup = dict(model.named_parameters())
     root = Path(directory)
-    dtype = manifest["blob_dtype"]
     seen = set()
-    for rec in manifest["params"]:
-        name = rec["name"]
-        if name not in lookup:
-            raise CheckpointError(f"checkpoint parameter {name!r} has no "
-                                  f"counterpart in the model")
-        p = lookup[name]
-        shape = tuple(int(s) for s in rec["shape"])
-        if shape != p.shape:
-            raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
-                                  f"{shape}, model {p.shape}")
-        p.data[...] = read_blob(root, rec, dtype, CheckpointError)
-        seen.add(name)
+    with manifest_fields(CheckpointError):
+        dtype = manifest["blob_dtype"]
+        if dtype not in _BLOB_DTYPES.values():
+            raise CheckpointError(f"unsupported blob dtype {dtype!r}")
+        for rec in manifest["params"]:
+            name = rec["name"]
+            if name not in lookup:
+                raise CheckpointError(f"checkpoint parameter {name!r} has no "
+                                      f"counterpart in the model")
+            p = lookup[name]
+            shape = tuple(int(s) for s in rec["shape"])
+            if shape != p.shape:
+                raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
+                                      f"{shape}, model {p.shape}")
+            p.data[...] = read_blob(root, rec, dtype, CheckpointError)
+            seen.add(name)
     if not allow_partial:
         missing = [n for n in lookup if n not in seen]
         if missing:
@@ -371,10 +349,9 @@ def _load_blobs_into(model: FusionModel, manifest: dict, directory,
 
 def load_checkpoint(directory, expect_config: Optional[ModelConfig] = None) -> FusionModel:
     """Rebuild the model from a full checkpoint directory."""
-    manifest = _load_manifest(directory)
-    if manifest.get("kind") != "checkpoint":
-        raise CheckpointError(f"{manifest.get('kind')!r} is not a full checkpoint")
-    config = ModelConfig.from_dict(manifest["model_config"])
+    manifest = read_manifest(directory, "checkpoint", CheckpointError)
+    with manifest_fields(CheckpointError):
+        config = ModelConfig.from_dict(manifest["model_config"])
     if expect_config is not None and config.to_dict() != expect_config.to_dict():
         raise CheckpointError(
             "checkpoint config does not match the expected config "
@@ -387,8 +364,5 @@ def load_checkpoint(directory, expect_config: Optional[ModelConfig] = None) -> F
 
 def load_adapter_checkpoint(model: FusionModel, directory) -> None:
     """Load an adapters-only checkpoint onto a matching backbone."""
-    manifest = _load_manifest(directory)
-    if manifest.get("kind") != "checkpoint-adapters":
-        raise CheckpointError(f"{manifest.get('kind')!r} is not an adapters-only "
-                              "checkpoint")
+    manifest = read_manifest(directory, "checkpoint-adapters", CheckpointError)
     _load_blobs_into(model, manifest, directory, allow_partial=True)

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapters import (CrossModalAdapter, Density, DensityConfig,
-                       build_adapter_bank, check_density_equivalence,
-                       fused_block_forward)
-from .encoder import EncoderConfig, TransformerBlock
+from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
+                       build_adapter_bank, fused_block_forward, fused_encode)
+from .encoder import Encoder, EncoderConfig, TransformerBlock
 from .gradcheck import grad_check_params
 from .model import FusionModel, ModelConfig
 from .tensor import (Tensor, concat, drop_path, dropout, extract_patches,
@@ -169,6 +168,92 @@ def gradient_suite(seeds=range(10), tol: float = 1e-4,
                                   end_to_end_check(seed, max_coords=e2e_coords))
     return {"checks": worst, "tolerance": tol, "seeds": seeds,
             "passed": all(v < tol for v in worst.values())}
+
+
+# ---------------------------------------------------------------------
+# density equivalence verification
+# ---------------------------------------------------------------------
+
+def _copy_bank_weights(dst: AdapterBank, src_weights: dict) -> None:
+    for (stage, block, pos, _route), adapter in dst.adapters.items():
+        adapter.copy_weights_from(src_weights[(stage, block, pos)])
+
+
+def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
+                              dtype=np.float64) -> dict:
+    """Verify the two-modality density equivalences, and that they break
+    for three modalities.
+
+    With M=2 there is exactly one modality pair, so a shared bank and a
+    pair-bidirectional bank with copied weights are the same function;
+    a pair-unidirectional bank with both directions tied matches too.
+    With M=3, independently initialized per-pair adapters differ from a
+    shared one.
+    """
+    config = EncoderConfig.preset("tiny")
+    density_kwargs = dict(active_stages=(1, 2, 3, 4))
+    report = {"m2_shared_vs_pair_bi": None, "m2_tied_uni_vs_pair_bi": None,
+              "m3_shared_vs_pair_bi_differ": None, "passed": False}
+
+    encoders = [Encoder(config, 1, seed=seed * 7 + i, dtype=dtype) for i in range(2)]
+    banks = {}
+    for variant in Density:
+        banks[variant] = build_adapter_bank(
+            2, config, DensityConfig(variant, **density_kwargs), bottleneck=4,
+            seed=seed, dropout_rate=0.0, dtype=dtype)
+    # One reference weight set per (stage, block, position), copied into
+    # every route of every bank. Up-projections are randomized first; at
+    # their zero init every density is trivially identical.
+    reference = {}
+    fill = np.random.default_rng(seed + 101)
+    for (stage, block, pos, route), adapter in sorted(banks[Density.SHARED].adapters.items()):
+        adapter.w_up.data[...] = fill.normal(0.0, 0.05, adapter.w_up.shape)
+        adapter.b_up.data[...] = fill.normal(0.0, 0.05, adapter.b_up.shape)
+        reference[(stage, block, pos)] = adapter
+    for variant in (Density.PAIR_BIDIRECTIONAL, Density.PAIR_UNIDIRECTIONAL):
+        _copy_bank_weights(banks[variant], reference)
+
+    rng = np.random.default_rng(seed)
+    same_bi = True
+    same_uni = True
+    for _ in range(num_inputs):
+        imgs = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(2)]
+        outs = {}
+        for variant in Density:
+            pyr = fused_encode(encoders, imgs, banks[variant],
+                               DensityConfig(variant, **density_kwargs))
+            outs[variant] = [f.data for p in pyr for f in p]
+        same_bi &= all(np.array_equal(a, b) for a, b in
+                       zip(outs[Density.SHARED], outs[Density.PAIR_BIDIRECTIONAL]))
+        same_uni &= all(np.array_equal(a, b) for a, b in
+                        zip(outs[Density.PAIR_UNIDIRECTIONAL], outs[Density.PAIR_BIDIRECTIONAL]))
+    report["m2_shared_vs_pair_bi"] = bool(same_bi)
+    report["m2_tied_uni_vs_pair_bi"] = bool(same_uni)
+
+    # M=3: independently initialized pair adapters cannot all equal the
+    # shared one, so outputs must differ.
+    encoders3 = [Encoder(config, 1, seed=seed * 11 + i, dtype=dtype) for i in range(3)]
+    shared3 = build_adapter_bank(3, config, DensityConfig(Density.SHARED, **density_kwargs),
+                                 bottleneck=4, seed=seed, dropout_rate=0.0, dtype=dtype)
+    pair3 = build_adapter_bank(3, config, DensityConfig(Density.PAIR_BIDIRECTIONAL,
+                                                        **density_kwargs),
+                               bottleneck=4, seed=seed + 1, dropout_rate=0.0, dtype=dtype)
+    # Nonzero, per-adapter up-projections so the routing shows in outputs.
+    filler = np.random.default_rng(seed + 2)
+    for bank3 in (shared3, pair3):
+        for _key, adapter in sorted(bank3.adapters.items()):
+            adapter.w_up.data[...] = filler.normal(0.0, 0.05, adapter.w_up.shape)
+    imgs3 = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(3)]
+    out_shared = fused_encode(encoders3, imgs3, shared3,
+                              DensityConfig(Density.SHARED, **density_kwargs))
+    out_pair = fused_encode(encoders3, imgs3, pair3,
+                            DensityConfig(Density.PAIR_BIDIRECTIONAL, **density_kwargs))
+    max_diff = max(float(np.max(np.abs(a.data - b.data)))
+                   for pa, pb in zip(out_shared, out_pair) for a, b in zip(pa, pb))
+    report["m3_shared_vs_pair_bi_differ"] = max_diff > 0.0
+    report["m3_max_abs_diff"] = max_diff
+    report["passed"] = bool(same_bi and same_uni and max_diff > 0.0)
+    return report
 
 
 def equivalence_suite(seed: int = 0) -> dict:

@@ -9,10 +9,11 @@ import pytest
 import adafuse as af
 from adafuse.adapters import (CrossModalAdapter, Density,
                               DensityConfig, build_adapter_bank,
-                              check_density_equivalence, fused_block_forward,
-                              fused_encode, route_key, routes_for)
+                              fused_block_forward, fused_encode, route_key,
+                              routes_for)
 from adafuse.encoder import Encoder, EncoderConfig, TransformerBlock
 from adafuse.gradcheck import grad_check_params
+from adafuse.verification import check_density_equivalence
 
 
 def rng_of(seed):

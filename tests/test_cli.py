@@ -87,6 +87,39 @@ def test_eval_truncated_checkpoint_is_io_error(tmp_path, capsys):
     assert "i/o error" in capsys.readouterr().err
 
 
+def eval_inputs(tmp_path):
+    """A dataset directory and a checkpoint directory that ``eval`` accepts."""
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), tmp_path / "ds")
+    cfg = ModelConfig(preset="tiny", bottleneck=2, dtype="float32")
+    return {"data": data_dir,
+            "checkpoint": save_checkpoint(FusionModel(cfg), tmp_path / "ckpt")}
+
+
+@pytest.mark.parametrize("target", ["data", "checkpoint"])
+def test_eval_truncated_manifest_is_io_error(tmp_path, capsys, target):
+    dirs = eval_inputs(tmp_path)
+    manifest = dirs[target] / "manifest.json"
+    manifest.write_text(manifest.read_text()[:200])
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]),
+                "--data", str(dirs["data"])])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target,field", [("data", "num_classes"),
+                                          ("checkpoint", "blob_dtype")])
+def test_eval_manifest_missing_field_is_io_error(tmp_path, capsys, target, field):
+    dirs = eval_inputs(tmp_path)
+    path = dirs[target] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    del manifest[field]
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]),
+                "--data", str(dirs["data"])])
+    assert code == 3
+    assert "i/o error" in capsys.readouterr().err
+
+
 def test_unknown_flag_is_an_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["param-count", "--frobnicate"])

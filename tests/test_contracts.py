@@ -1,0 +1,90 @@
+"""Contracts other code relies on: parameter names (the checkpoint
+format) and the hooks the benchmark's tracer wraps."""
+
+import gzip
+import hashlib
+import importlib.util
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from adafuse.model import FusionModel, ModelConfig
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = Path(__file__).with_name("golden_parameters.json.gz")
+
+TRIO = ("vis", "ir", "depth")
+CONFIGS = (
+    [dict(preset="tiny", modalities=("vis",), channels=(1,))]
+    + [dict(preset="tiny", modalities=TRIO[:m], channels=(1,) * m, density=d)
+       for m in (2, 3) for d in ("shared", "pair-bi", "pair-uni")]
+    + [dict(preset="tiny", modalities=("vis", "ir"), channels=(1, 3),
+            active_stages=(3, 4), use_ffm=True),
+       dict(preset="tiny", modalities=TRIO, channels=(1, 1, 1), density="pair-uni",
+            active_stages=(2, 4), use_ffm=True),
+       dict(preset="tiny", modalities=("vis", "ir"), channels=(1, 1),
+            active_stages=(2,), drop_path_rate=0.1),
+       dict(preset="tiny", modalities=TRIO, channels=(3, 1, 1), density="shared",
+            active_stages=(1,), use_ffm=True),
+       dict(preset="b2-like", modalities=("vis",), channels=(1,))]
+    + [dict(preset="b2-like", modalities=("vis", "ir"), channels=(1, 1), density=d)
+       for d in ("shared", "pair-bi", "pair-uni")]
+    + [dict(preset="b2-like", modalities=TRIO, channels=(1, 1, 1), density=d,
+            active_stages=(3, 4))
+       for d in ("pair-bi", "pair-uni")]
+    + [dict(preset="b2-like", modalities=("vis", "ir"), channels=(1, 3),
+            active_stages=(3, 4), use_ffm=True)]
+)
+
+
+def config_id(config: dict) -> str:
+    return ";".join(f"{k}={v}" for k, v in config.items())
+
+
+def listing(config: dict) -> dict:
+    """Ordered (name, shape, requires_grad) of every parameter, plus a
+    digest of their initial bytes."""
+    model = FusionModel(ModelConfig(dtype="float32", bottleneck=4, seed=3, **config))
+    digest = hashlib.sha256()
+    params = []
+    for name, p in model.named_parameters():
+        params.append([name, list(p.shape), p.requires_grad])
+        digest.update(p.data.tobytes())
+    return {"params": params, "init_sha256": digest.hexdigest()}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    """``listing`` of every config, captured while each layer still
+    spelled out its parameter names by hand."""
+    with gzip.open(GOLDEN, "rt", encoding="utf-8") as f:
+        return json.load(f)
+
+
+@pytest.mark.parametrize("config", CONFIGS, ids=config_id)
+def test_parameters_match_the_golden_list(config, golden):
+    assert listing(config) == golden[config_id(config)]
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """``bench/spans.py`` wraps classes' own ``__call__`` and other
+    attributes and reads the tape's node list; every one must exist."""
+    spec = importlib.util.spec_from_file_location("bench_spans",
+                                                  ROOT / "bench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    originals = {(owner, attr): owner.__dict__[attr]
+                 for owner, attr, _ in spans.LAYERS if isinstance(owner, type)}
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        model = FusionModel(ModelConfig(preset="tiny", bottleneck=2, dtype="float32"))
+        rng = np.random.default_rng(0)
+        model({"vis": rng.random((1, 1, 32, 32)), "ir": rng.random((1, 1, 32, 32))})
+        assert "encoder.attention" in tracer.names
+    finally:
+        tracer.uninstall()
+    for (owner, attr), original in originals.items():
+        assert owner.__dict__[attr] is original

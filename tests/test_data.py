@@ -145,6 +145,15 @@ def test_unknown_version_rejected(tmp_path):
         load_dataset(root)
 
 
+def test_interrupted_save_leaves_no_manifest(tmp_path, fail_writes_after):
+    root = save_dataset(small_ds(seed=14, n=3), tmp_path / "ds")
+    fail_writes_after(2)
+    with pytest.raises(OSError):
+        save_dataset(small_ds(seed=15, n=3), root)
+    with pytest.raises(DatasetError, match="no manifest.json"):
+        load_dataset(root)
+
+
 def test_out_of_range_labels_rejected(tmp_path):
     ds = small_ds(seed=13, n=1)
     ds.samples[0].label[0, 0] = 200    # not a class, not ignore

@@ -3,6 +3,10 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -314,6 +318,34 @@ def test_identical_config_and_seed_give_bit_identical_metrics():
     assert results[0]["confusion"] == results[1]["confusion"]
 
 
+_FIT_DIGEST = """
+import hashlib
+import adafuse as af
+ds = af.generate_synthetic(16, 32, 32, 5, 2, seed=4)
+model = af.FusionModel(af.ModelConfig(preset="tiny", bottleneck=4, dtype="float32",
+                                      seed=5))
+af.fit(model, ds, af.TrainConfig(base_lr=1e-3, warmup_epochs=1, epochs=2,
+                                 batch_size=8, seed=5))
+digest = hashlib.sha256()
+for _, p in model.named_parameters():
+    digest.update(p.data.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_training_bits_do_not_depend_on_the_string_hash_seed():
+    """Two processes with different ``PYTHONHASHSEED`` train the same bits."""
+    src = str(Path(af.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    digests = []
+    for hash_seed in ("1", "3"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+        done = subprocess.run([sys.executable, "-c", _FIT_DIGEST], env=env,
+                              capture_output=True, text=True, timeout=300, check=True)
+        digests.append(done.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
 # ---------------------------------------------------------------------
 # frozen-prefix feature cache in fit
 # ---------------------------------------------------------------------
@@ -484,6 +516,15 @@ def test_truncated_checkpoint_blob_fails(tmp_path):
     blob = root / "p00000.bin"
     blob.write_bytes(blob.read_bytes()[:-4])
     with pytest.raises(CheckpointError, match="bytes"):
+        load_checkpoint(root)
+
+
+def test_interrupted_checkpoint_save_leaves_no_manifest(tmp_path, fail_writes_after):
+    root = save_checkpoint(tiny_model(seed=14), tmp_path / "ckpt")
+    fail_writes_after(64)
+    with pytest.raises(OSError):
+        save_checkpoint(tiny_model(seed=15), root)
+    with pytest.raises(CheckpointError, match="no manifest.json"):
         load_checkpoint(root)
 
 
