@@ -43,9 +43,10 @@ print("softmax with a huge logit stays finite:", probs.data)
 
 print("gelu(0) =", af.gelu(af.Tensor(np.array([0.0]))).data[0])
 
-# Stochastic ops take an explicit generator, so runs are reproducible:
+# Stochastic ops take an explicit generator (None in eval), so runs are
+# reproducible:
 drop_rng = np.random.default_rng(7)
-kept = af.dropout(af.Tensor(np.ones(10)), 0.5, train=True, rng=drop_rng)
+kept = af.dropout(af.Tensor(np.ones(10)), 0.5, rng=drop_rng)
 print("dropout(1s, p=0.5):", kept.data)
 
 # -- verifying gradients against central differences -------------------

@@ -34,7 +34,7 @@ for variant in ("shared", "pair-bi", "pair-uni"):
 
 density = DensityConfig("pair-bi", (3, 4))
 bank = build_adapter_bank(2, cfg, density, bottleneck=8, seed=0)
-fused = fused_encode(encoders, imgs, bank, density)
+fused = fused_encode(encoders, imgs, bank)
 solo = [enc(img) for enc, img in zip(encoders, imgs)]
 same = all(np.array_equal(f.data, s.data)
            for pf, ps in zip(fused, solo) for f, s in zip(pf, ps))
@@ -46,7 +46,7 @@ fill = np.random.default_rng(1)
 for name, p in bank.named_parameters():
     if "w_up" in name:
         p.data[...] = fill.normal(0.0, 0.1, p.shape)
-fused = fused_encode(encoders, imgs, bank, density)
+fused = fused_encode(encoders, imgs, bank)
 for s in range(4):
     untouched = np.array_equal(fused[0][s].data, solo[0][s].data)
     print(f"  stage {s + 1}: bit-identical to the solo encoder: {untouched}")

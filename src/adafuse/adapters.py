@@ -68,7 +68,6 @@ class CrossModalAdapter(Module):
         if bottleneck < 1:
             raise ValueError(f"bottleneck width must be >= 1, got {bottleneck}")
         self.dim = dim
-        self.bottleneck = bottleneck
         self.dropout_rate = dropout_rate
         self.w_down = trunc_normal((dim, bottleneck), rng, dtype=dtype)
         self.b_down = zeros(bottleneck, dtype=dtype)
@@ -77,13 +76,12 @@ class CrossModalAdapter(Module):
         self.w_up = zeros((bottleneck, dim), dtype=dtype)
         self.b_up = zeros(dim, dtype=dtype)
 
-    def __call__(self, x: Tensor, train: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> Tensor:
+    def __call__(self, x: Tensor, *, rng: Optional[np.random.Generator] = None) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"adapter built for dim {self.dim}, got {x.shape}")
         down = matmul(x, self.w_down) + self.b_down
         mid = gelu(matmul(down, self.w_mid) + self.b_mid)
-        mid = dropout(mid, self.dropout_rate, train, rng)
+        mid = dropout(mid, self.dropout_rate, rng=rng)
         return matmul(mid, self.w_up) + self.b_up
 
     def copy_weights_from(self, other: "CrossModalAdapter") -> None:
@@ -120,8 +118,7 @@ class AdapterBank:
     pair-bidirectional / pair-unidirectional densities.
     """
 
-    def __init__(self, num_modalities: int, density: DensityConfig):
-        self.num_modalities = num_modalities
+    def __init__(self, density: DensityConfig):
         self.density = density
         self.adapters: dict[tuple, CrossModalAdapter] = {}
 
@@ -152,7 +149,7 @@ def build_adapter_bank(num_modalities: int, config: EncoderConfig,
     if num_modalities < 2:
         raise ValueError(f"adapter fusion needs >= 2 modalities, got {num_modalities}")
     path = (seed,) if isinstance(seed, int) else tuple(seed)
-    bank = AdapterBank(num_modalities, density)
+    bank = AdapterBank(density)
     for stage in density.active_stages:
         if not 1 <= stage <= config.num_stages:
             raise ValueError(f"active stage {stage} outside 1..{config.num_stages}")
@@ -167,8 +164,7 @@ def build_adapter_bank(num_modalities: int, config: EncoderConfig,
 
 
 def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
-                        bank: Optional[AdapterBank], stage: int, block_idx: int,
-                        train: bool = False,
+                        bank: AdapterBank, stage: int, block_idx: int, *,
                         rng: Optional[np.random.Generator] = None) -> list[Tensor]:
     """One transformer block across M modalities with cross-modal injection.
 
@@ -183,7 +179,6 @@ def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
     for x in xs[1:]:
         if x.shape != shape0:
             raise ShapeError(f"modality token shapes differ: {shape0} vs {x.shape}")
-    stitch = bank is not None and m >= 2
 
     zs = list(xs)
     for position in (1, 2):
@@ -192,31 +187,30 @@ def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
         else:
             normed = [blk.norm2(z) for blk, z in zip(blocks, zs)]
         zs = [z + drop_path(blk.attn(x, h, w) if position == 1 else blk.mlp(x),
-                            blk.drop_path_rate, train, rng)
+                            blk.drop_path_rate, rng=rng)
               for blk, z, x in zip(blocks, zs, normed)]
-        if stitch:
-            for i in range(m):
-                for j in range(m):
-                    if i == j:
-                        continue
-                    ada = bank.get(stage, block_idx, position, i, j)
-                    zs[j] = zs[j] + drop_path(
-                        ada(normed[i], train, rng), blocks[j].drop_path_rate, train, rng)
+        for i in range(m):
+            for j in range(m):
+                if i == j:
+                    continue
+                ada = bank.get(stage, block_idx, position, i, j)
+                zs[j] = zs[j] + drop_path(
+                    ada(normed[i], rng=rng), blocks[j].drop_path_rate, rng=rng)
     return zs
 
 
 def fused_encode(encoders: list[Encoder], images: list,
-                 bank: Optional[AdapterBank], density: Optional[DensityConfig],
-                 train: bool = False,
+                 bank: Optional[AdapterBank], *,
                  rng: Optional[np.random.Generator] = None,
                  stages: Optional[int] = None) -> list[list[Tensor]]:
-    """Run M encoders in lockstep, exchanging features in active stages.
+    """Run M encoders in lockstep, exchanging features in the bank's stages.
 
     Returns one feature pyramid (list of [B, d_i, h_i, w_i] maps) per
-    modality. Blocks in inactive stages run the plain per-modality path.
-    Each modality's input is a [B, C, H, W] image, or a list holding the
-    maps of its first k stages (computed earlier); encoding then resumes
-    at stage k + 1. ``stages`` stops after that many stages.
+    modality. Other stages, and all of them without a bank, run the plain
+    per-modality path; ``rng`` means training. Each modality's input is a
+    [B, C, H, W] image, or a list holding the maps of its first k stages
+    (computed earlier); encoding then resumes at stage k + 1. ``stages``
+    stops after that many stages.
     """
     m = len(encoders)
     if len(images) != m:
@@ -227,7 +221,7 @@ def fused_encode(encoders: list[Encoder], images: list,
         if len(p) != len(pyramids[0]) or x.shape[-2:] != current[0].shape[-2:]:
             raise ShapeError("modality images must share spatial dims")
     config = encoders[0].config
-    active = set(density.active_stages) if (density and bank is not None) else set()
+    active = bank.density.active_stages if bank is not None else ()
 
     stop = config.num_stages if stages is None else stages
     for s in range(len(pyramids[0]), stop):
@@ -239,11 +233,11 @@ def fused_encode(encoders: list[Encoder], images: list,
             tokens.append(t)
         for b in range(config.depths[s]):
             blocks = [enc.blocks[s][b] for enc in encoders]
-            if stage_no in active and m >= 2:
+            if stage_no in active:
                 tokens = fused_block_forward(tokens, blocks, h, w, bank,
-                                             stage_no, b, train, rng)
+                                             stage_no, b, rng=rng)
             else:
-                tokens = [blocks[i](tokens[i], h, w, train, rng)[1] for i in range(m)]
+                tokens = [blocks[i](tokens[i], h, w, rng=rng) for i in range(m)]
         for i in range(m):
             normed = encoders[i].stage_norm(s, tokens[i])
             current[i] = tokens_to_map(normed, h, w)

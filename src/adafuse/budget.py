@@ -96,7 +96,7 @@ def empirical_count(target, which: str = "adapters-only") -> int:
 
 
 def budget_report(preset: str, num_modalities: int, density, active_stages,
-                  bottleneck: int = 8, dtype="float64") -> tuple[dict, str]:
+                  bottleneck: int = 8) -> tuple[dict, str]:
     """Analytic-vs-enumerated comparison under both bias conventions.
 
     Returns (key/value record, printable table). The enumerated count

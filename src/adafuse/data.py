@@ -65,10 +65,6 @@ class SceneDataset:
         return [name for name, _ in self.modalities]
 
 
-def _default_names(m: int) -> tuple[str, ...]:
-    return ("vis", "ir") if m == 2 else tuple(f"mod{i}" for i in range(m))
-
-
 def assign_visibility(num_classes: int, names: Sequence[str],
                       rng: np.random.Generator) -> dict[int, tuple[str, ...]]:
     """Round-robin the shuffled foreground classes over modalities, so
@@ -79,15 +75,15 @@ def assign_visibility(num_classes: int, names: Sequence[str],
 
 def generate_synthetic(num_samples: int, height: int, width: int,
                        num_classes: int, num_modalities: int, seed: int,
-                       split: str = "train", noise_sigma: float = 0.05,
-                       modality_names: Optional[Sequence[str]] = None,
-                       channels: Optional[Sequence[int]] = None) -> SceneDataset:
+                       split: str = "train") -> SceneDataset:
     """Scenes of random rectangles and discs with per-class visibility.
 
-    Background sits at 0.2; a class visible in a modality fills at a
-    class-specific level in [0.55, 0.95]; invisible classes render at
-    background level. Gaussian pixel noise is added everywhere and the
-    result clipped to [0, 1]. Fully deterministic in ``seed``.
+    Modalities are named vis, ir for two and mod0, mod1, ... otherwise,
+    with one channel each. Background sits at 0.2; a class visible in a
+    modality fills at a class-specific level in [0.55, 0.95]; invisible
+    classes render at background level. Gaussian pixel noise (sigma 0.05)
+    is added everywhere and the result clipped to [0, 1]. Fully
+    deterministic in ``seed``.
     """
     if num_classes < 3:
         raise ValueError("need background plus at least two foreground classes")
@@ -95,10 +91,8 @@ def generate_synthetic(num_samples: int, height: int, width: int,
         raise ValueError("complementary visibility needs >= 2 modalities")
     if height < 8 or width < 8:
         raise ValueError(f"degenerate scene size {height}x{width}")
-    names = tuple(modality_names) if modality_names else _default_names(num_modalities)
-    if len(names) != num_modalities:
-        raise ValueError("modality_names length must match num_modalities")
-    chans = tuple(channels) if channels else (1,) * num_modalities
+    names = (("vis", "ir") if num_modalities == 2
+             else tuple(f"mod{i}" for i in range(num_modalities)))
 
     rng = np.random.default_rng(seed)
     visibility = assign_visibility(num_classes, names, rng)
@@ -126,13 +120,13 @@ def generate_synthetic(num_samples: int, height: int, width: int,
             for name in names:
                 planes[name][mask] = fills[cls] if name in visibility[cls] else 0.2
         images = {}
-        for name, ch in zip(names, chans):
-            noisy = planes[name][None] + rng.normal(0.0, noise_sigma, (ch, height, width))
+        for name in names:
+            noisy = planes[name][None] + rng.normal(0.0, 0.05, (1, height, width))
             images[name] = np.clip(noisy, 0.0, 1.0).astype(np.float32)
         samples.append(MultimodalSample(images, label))
 
     return SceneDataset(samples, num_classes, height, width,
-                        list(zip(names, chans)), seed, split,
+                        [(name, 1) for name in names], seed, split,
                         class_visibility=visibility)
 
 
@@ -148,18 +142,44 @@ def write_store(directory, kind: str, fields: dict,
     dtype) pairs that ``fields`` refers to. An existing manifest is
     removed first and the new one is moved into place only after every
     blob is written, so a save interrupted partway leaves no manifest,
-    never one that mixes two saves.
+    never one that mixes two saves. Then the blobs the previous manifest
+    named and this one does not are deleted; other files are left alone.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
+    stale = _named_blobs(out / MANIFEST)
     (out / MANIFEST).unlink(missing_ok=True)
     for path, array in blobs:
         (out / path).write_bytes(array.tobytes())
+        stale.discard(Path(path))
     manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
     tmp = out / (MANIFEST + ".tmp")
     tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     os.replace(tmp, out / MANIFEST)
+    for path in stale - {Path(MANIFEST)}:
+        if (out / path).is_file():
+            (out / path).unlink()
     return out
+
+
+def _named_blobs(manifest_path: Path) -> set[Path]:
+    """Every blob path in a manifest that ``read_blob`` would accept;
+    empty if the manifest is missing or unreadable."""
+    paths = set()
+
+    def collect(obj: dict) -> dict:
+        if isinstance(obj.get("path"), str) and _inside_root(obj["path"]):
+            paths.add(Path(obj["path"]))
+        return obj
+    try:
+        json.loads(manifest_path.read_text(encoding="utf-8"), object_hook=collect)
+    except (OSError, ValueError):
+        return set()
+    return paths
+
+
+def _inside_root(path: str) -> bool:
+    return not Path(path).is_absolute() and ".." not in Path(path).parts
 
 
 def read_manifest(directory, kind: str,
@@ -205,7 +225,7 @@ def read_blob(root: Path, entry: dict, dtype: str,
     raises ``error``.
     """
     path = entry["path"]
-    if Path(path).is_absolute() or ".." in Path(path).parts:
+    if not _inside_root(path):
         raise error(f"blob paths must be relative to the manifest dir: {path!r}")
     blob = root / path
     if not blob.exists():

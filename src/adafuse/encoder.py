@@ -2,8 +2,9 @@
 
 One encoder per modality. Stages shrink the spatial grid by their
 configured stride; each stage is overlapping-patch embedding followed by
-transformer blocks that return both the post-attention and post-MLP
-residual states (the fused-encoding wiring consumes the former).
+transformer blocks and a layer norm. ``Encoder.forward`` and
+``TransformerBlock`` are the plain per-modality path; the fused wiring in
+``adapters`` reuses their layers.
 """
 
 from __future__ import annotations
@@ -163,12 +164,7 @@ class Mlp(Module):
 
 
 class TransformerBlock(Module):
-    """Pre-norm attention + MLP block with per-branch drop-path.
-
-    The forward pass returns both residual states: the post-attention
-    state feeds the cross-modal adapters, the post-MLP state is the
-    block output.
-    """
+    """Pre-norm attention + MLP block with per-branch drop-path."""
 
     def __init__(self, dim: int, heads: int, sr_ratio: int, mlp_ratio: int,
                  drop_path_rate: float, rng: np.random.Generator, dtype=np.float64):
@@ -186,13 +182,10 @@ class TransformerBlock(Module):
     def norm2(self, x: Tensor) -> Tensor:
         return layer_norm(x, self.ln2_gamma, self.ln2_beta)
 
-    def __call__(self, x: Tensor, h: int, w: int, train: bool = False,
-                 rng: Optional[np.random.Generator] = None) -> tuple[Tensor, Tensor]:
-        branch = self.attn(self.norm1(x), h, w)
-        z_attn = x + drop_path(branch, self.drop_path_rate, train, rng)
-        branch = self.mlp(self.norm2(z_attn))
-        z_mlp = z_attn + drop_path(branch, self.drop_path_rate, train, rng)
-        return z_attn, z_mlp
+    def __call__(self, x: Tensor, h: int, w: int, *,
+                 rng: Optional[np.random.Generator] = None) -> Tensor:
+        x = x + drop_path(self.attn(self.norm1(x), h, w), self.drop_path_rate, rng=rng)
+        return x + drop_path(self.mlp(self.norm2(x)), self.drop_path_rate, rng=rng)
 
 
 class Encoder:
@@ -201,8 +194,6 @@ class Encoder:
     def __init__(self, config: EncoderConfig, in_channels: int,
                  seed: int | tuple[int, ...], dtype=np.float64):
         self.config = config
-        self.in_channels = in_channels
-        self.dtype = dtype
         self.patch_embeds: list[PatchEmbed] = []
         self.blocks: list[list[TransformerBlock]] = []
         self.norm_gammas: list[Tensor] = []
@@ -234,9 +225,10 @@ class Encoder:
     def stage_norm(self, stage: int, tokens: Tensor) -> Tensor:
         return layer_norm(tokens, self.norm_gammas[stage], self.norm_betas[stage])
 
-    def forward(self, x: Tensor, train: bool = False,
+    def forward(self, x: Tensor, *,
                 rng: Optional[np.random.Generator] = None) -> list[Tensor]:
-        """Run all stages; returns per-stage feature maps [B, d_i, h_i, w_i]."""
+        """Run all stages; returns per-stage feature maps [B, d_i, h_i, w_i].
+        ``rng`` is the training-mode drop-path generator."""
         if x.ndim != 4:
             raise ShapeError(f"encoder expects [B, C, H, W], got {x.shape}")
         feats = []
@@ -244,7 +236,7 @@ class Encoder:
         for s in range(self.config.num_stages):
             tokens, (h, w) = self.patch_embeds[s](cur)
             for blk in self.blocks[s]:
-                _, tokens = blk(tokens, h, w, train, rng)
+                tokens = blk(tokens, h, w, rng=rng)
             tokens = self.stage_norm(s, tokens)
             cur = tokens_to_map(tokens, h, w)
             feats.append(cur)

@@ -88,8 +88,6 @@ class Decoder:
     def __init__(self, config: EncoderConfig, num_classes: int, decoder_dim: int,
                  seed: int, dtype=np.float64):
         rng = np.random.default_rng([seed, 901])
-        self.num_classes = num_classes
-        self.decoder_dim = decoder_dim
         self.stage_w = [trunc_normal((d, decoder_dim), rng, dtype=dtype)
                         for d in config.dims]
         self.stage_b = [zeros(decoder_dim, dtype=dtype) for _ in config.dims]

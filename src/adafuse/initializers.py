@@ -19,23 +19,23 @@ def derive_rng(*seed_path: int) -> np.random.Generator:
     return np.random.default_rng(list(seed_path))
 
 
-def trunc_normal(shape, rng: np.random.Generator, std: float = 0.02,
-                 dtype=np.float64, trainable: bool = True) -> Tensor:
-    """Normal(0, std) redrawn until within +/-2 std, like common ViT init."""
+def trunc_normal(shape, rng: np.random.Generator, dtype=np.float64) -> Tensor:
+    """Normal(0, 0.02) redrawn until within +/-2 std, like common ViT init."""
+    std = 0.02
     vals = rng.normal(0.0, std, size=shape)
     bad = np.abs(vals) > 2.0 * std
     while bad.any():
         vals[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(vals) > 2.0 * std
-    return Tensor(vals.astype(dtype), requires_grad=trainable)
+    return Tensor(vals.astype(dtype), requires_grad=True)
 
 
-def zeros(shape, dtype=np.float64, trainable: bool = True) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=trainable)
+def zeros(shape, dtype=np.float64) -> Tensor:
+    return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
 
 
-def ones(shape, dtype=np.float64, trainable: bool = True) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype), requires_grad=trainable)
+def ones(shape, dtype=np.float64) -> Tensor:
+    return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
 
 
 class Module:

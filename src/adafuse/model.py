@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, replace
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,11 +55,7 @@ class ModelConfig:
         return len(self.modalities)
 
     def encoder_config(self) -> EncoderConfig:
-        base = EncoderConfig.preset(self.preset)
-        if self.drop_path_rate != base.drop_path_rate:
-            base = EncoderConfig(base.dims, base.depths, base.heads, base.strides,
-                                 base.sr_ratios, base.mlp_ratio, self.drop_path_rate)
-        return base
+        return replace(EncoderConfig.preset(self.preset), drop_path_rate=self.drop_path_rate)
 
     def np_dtype(self):
         return _DTYPES[self.dtype]
@@ -100,15 +96,13 @@ class FusionModel:
         for enc in self.encoders:
             enc.set_trainable(False)
 
+        self.bank: Optional[AdapterBank] = None
         if config.num_modalities >= 2:
-            self.density = DensityConfig(config.density, config.active_stages)
-            self.bank: Optional[AdapterBank] = build_adapter_bank(
-                config.num_modalities, enc_cfg, self.density, config.bottleneck,
+            self.bank = build_adapter_bank(
+                config.num_modalities, enc_cfg,
+                DensityConfig(config.density, config.active_stages), config.bottleneck,
                 seed=(config.seed, 500), dropout_rate=config.adapter_dropout,
                 dtype=dtype)
-        else:
-            self.density = None
-            self.bank = None
 
         self.ffm = (FeatureFusion(config.num_modalities, enc_cfg, config.seed, dtype)
                     if config.use_ffm else None)
@@ -151,7 +145,7 @@ class FusionModel:
         enc_cfg = self.encoder_config
         if enc_cfg.drop_path_rate > 0:
             return 0
-        n = enc_cfg.num_stages if self.bank is None else min(self.density.active_stages) - 1
+        n = enc_cfg.num_stages if self.bank is None else min(self.bank.density.active_stages) - 1
         prefix = tuple(f"encoder.stage{s}." for s in range(1, n + 1))
         if any(p.requires_grad and name.startswith(prefix)
                for enc in self.encoders for name, p in enc.named_parameters()):
@@ -166,8 +160,8 @@ class FusionModel:
         (arrays) instead of its image; encoding then starts at stage k + 1.
         ``stages`` stops after that many stages."""
         xs = self._coerce(images)
-        return fused_encode(self.encoders, xs, self.bank, self.density,
-                            train, self.rng if train else None, stages)
+        return fused_encode(self.encoders, xs, self.bank,
+                            rng=self.rng if train else None, stages=stages)
 
     def forward(self, images, train: bool = False) -> Tensor:
         """Class logits on the finest feature grid [B, K, H/s1, W/s1]."""

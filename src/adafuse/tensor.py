@@ -408,27 +408,24 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
 # stochastic regularizers
 # ---------------------------------------------------------------------
 
-def dropout(x: Tensor, p: float, train: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Zero elements w.p. ``p`` and rescale survivors; identity in eval."""
+def dropout(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Zero elements w.p. ``p`` and rescale survivors; identity if no ``rng``."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout in train mode needs a seeded generator")
     keep = (rng.random(x.shape) >= p)
     scale = keep.astype(x.dtype) / (1.0 - p)
     return _make(x.data * scale, (x,), lambda g: (g * scale,))
 
 
-def drop_path(x: Tensor, p: float, train: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Zero the whole residual branch per leading-axis element w.p. ``p``."""
+def drop_path(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Zero the whole residual branch per leading-axis element w.p. ``p``
+    (identity if no ``rng``)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"drop_path rate must be in [0, 1), got {p}")
-    if not train or p == 0.0:
+    if rng is None or p == 0.0:
         return x
-    if rng is None:
-        raise ValueError("drop_path in train mode needs a seeded generator")
     keep = (rng.random(x.shape[0]) >= p).astype(x.dtype) / (1.0 - p)
     scale = keep.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
     return _make(x.data * scale, (x,), lambda g: (g * scale,))

@@ -164,8 +164,8 @@ def train_step(model: FusionModel, images: dict, labels: np.ndarray,
 def _frozen_features(model: FusionModel, stages: int, cache: dict,
                      keys: list[int], images: dict) -> dict:
     """The batch's first ``stages`` encoder maps per modality, stacked
-    from ``cache`` (dataset index -> per-modality lists of per-sample
-    maps). Samples not cached yet are encoded first, without a graph."""
+    from ``cache`` (sample key -> per-modality lists of per-sample maps).
+    Samples not cached yet are encoded first, without a graph."""
     missing = [j for j, k in enumerate(keys) if k not in cache]
     if missing:
         with no_grad():
@@ -191,8 +191,7 @@ def fit(model: FusionModel, dataset: SceneDataset, cfg: TrainConfig,
                       weight_decay=cfg.weight_decay)
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
     frozen = model.frozen_stages()
-    # batches hold samples, not indices; the cache is keyed by dataset index
-    index = {id(sample): i for i, sample in enumerate(dataset.samples)}
+    # keyed by id(sample): the dataset holds every sample for the whole call
     cache: dict[int, list] = {}
     history = []
     for epoch in range(cfg.epochs):
@@ -202,7 +201,7 @@ def fit(model: FusionModel, dataset: SceneDataset, cfg: TrainConfig,
             images, labels = stack_batch(batch, model.config.modalities)
             if frozen:
                 images = _frozen_features(model, frozen, cache,
-                                          [index[id(s)] for s in batch], images)
+                                          [id(s) for s in batch], images)
             lr = lr_at(epoch + step / steps_per_epoch, cfg)
             losses.append(train_step(model, images, labels, optimizer, lr,
                                      dataset.ignore_index))

@@ -67,9 +67,9 @@ def primitive_checks(seed: int) -> dict[str, float]:
     # Stochastic regularizers: mask fixed by reseeding per call.
     d = _t(rng, 4, 8)
     errs["dropout"] = grad_check_params(
-        lambda: tsum(dropout(d, 0.4, True, np.random.default_rng(seed + 1)) * d), [d])
+        lambda: tsum(dropout(d, 0.4, rng=np.random.default_rng(seed + 1)) * d), [d])
     errs["drop_path"] = grad_check_params(
-        lambda: tsum(drop_path(d, 0.4, True, np.random.default_rng(seed + 2)) * d), [d])
+        lambda: tsum(drop_path(d, 0.4, rng=np.random.default_rng(seed + 2)) * d), [d])
 
     img = _t(rng, 1, 2, 8, 8)
     errs["extract_patches"] = grad_check_params(
@@ -191,7 +191,6 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     shared one.
     """
     config = EncoderConfig.preset("tiny")
-    density_kwargs = dict(active_stages=(1, 2, 3, 4))
     report = {"m2_shared_vs_pair_bi": None, "m2_tied_uni_vs_pair_bi": None,
               "m3_shared_vs_pair_bi_differ": None, "passed": False}
 
@@ -199,7 +198,7 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     banks = {}
     for variant in Density:
         banks[variant] = build_adapter_bank(
-            2, config, DensityConfig(variant, **density_kwargs), bottleneck=4,
+            2, config, DensityConfig(variant), bottleneck=4,
             seed=seed, dropout_rate=0.0, dtype=dtype)
     # One reference weight set per (stage, block, position), copied into
     # every route of every bank. Up-projections are randomized first; at
@@ -220,8 +219,7 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
         imgs = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(2)]
         outs = {}
         for variant in Density:
-            pyr = fused_encode(encoders, imgs, banks[variant],
-                               DensityConfig(variant, **density_kwargs))
+            pyr = fused_encode(encoders, imgs, banks[variant])
             outs[variant] = [f.data for p in pyr for f in p]
         same_bi &= all(np.array_equal(a, b) for a, b in
                        zip(outs[Density.SHARED], outs[Density.PAIR_BIDIRECTIONAL]))
@@ -233,10 +231,9 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     # M=3: independently initialized pair adapters cannot all equal the
     # shared one, so outputs must differ.
     encoders3 = [Encoder(config, 1, seed=seed * 11 + i, dtype=dtype) for i in range(3)]
-    shared3 = build_adapter_bank(3, config, DensityConfig(Density.SHARED, **density_kwargs),
+    shared3 = build_adapter_bank(3, config, DensityConfig(Density.SHARED),
                                  bottleneck=4, seed=seed, dropout_rate=0.0, dtype=dtype)
-    pair3 = build_adapter_bank(3, config, DensityConfig(Density.PAIR_BIDIRECTIONAL,
-                                                        **density_kwargs),
+    pair3 = build_adapter_bank(3, config, DensityConfig(Density.PAIR_BIDIRECTIONAL),
                                bottleneck=4, seed=seed + 1, dropout_rate=0.0, dtype=dtype)
     # Nonzero, per-adapter up-projections so the routing shows in outputs.
     filler = np.random.default_rng(seed + 2)
@@ -244,10 +241,8 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
         for _key, adapter in sorted(bank3.adapters.items()):
             adapter.w_up.data[...] = filler.normal(0.0, 0.05, adapter.w_up.shape)
     imgs3 = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(3)]
-    out_shared = fused_encode(encoders3, imgs3, shared3,
-                              DensityConfig(Density.SHARED, **density_kwargs))
-    out_pair = fused_encode(encoders3, imgs3, pair3,
-                            DensityConfig(Density.PAIR_BIDIRECTIONAL, **density_kwargs))
+    out_shared = fused_encode(encoders3, imgs3, shared3)
+    out_pair = fused_encode(encoders3, imgs3, pair3)
     max_diff = max(float(np.max(np.abs(a.data - b.data)))
                    for pa, pb in zip(out_shared, out_pair) for a, b in zip(pa, pb))
     report["m3_shared_vs_pair_bi_differ"] = max_diff > 0.0

@@ -94,7 +94,7 @@ def test_criterion_3_zero_adapter_transparency():
             density = DensityConfig(variant, stages)
             bank = build_adapter_bank(2, cfg, density, 8, seed=3,
                                       dropout_rate=0.0)
-            fused = fused_encode(encoders, imgs, bank, density)
+            fused = fused_encode(encoders, imgs, bank)
             for i in range(2):
                 for fs, ss in zip(fused[i], solo[i]):
                     ok &= bool(np.array_equal(fs.data, ss.data))

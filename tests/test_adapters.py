@@ -48,7 +48,7 @@ def test_adapter_matches_formula():
     from scipy.special import erf
     mid = mid * 0.5 * (1.0 + erf(mid / math.sqrt(2.0)))
     expected = mid @ adapter.w_up.data + adapter.b_up.data
-    out = adapter(af.Tensor(x), train=False)
+    out = adapter(af.Tensor(x))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -164,7 +164,7 @@ def test_zero_adapters_match_plain_block_bitwise():
     xs = [af.Tensor(rng_of(20 + i).normal(size=(2, 4, 8))) for i in range(2)]
     fused = fused_block_forward(xs, blocks, 2, 2, bank, stage=1, block_idx=0)
     for i in range(2):
-        plain = blocks[i](xs[i], 2, 2)[1]
+        plain = blocks[i](xs[i], 2, 2)
         assert np.array_equal(fused[i].data, plain.data)
 
 
@@ -258,7 +258,7 @@ def test_zero_adapter_transparency(variant, stages):
     bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=6,
                               dropout_rate=0.0)
     imgs = [af.Tensor(rng_of(70 + i).random((1, 1, 32, 32))) for i in range(2)]
-    fused = fused_encode(encoders, imgs, bank, density)
+    fused = fused_encode(encoders, imgs, bank)
     for i in range(2):
         solo = encoders[i](imgs[i])
         for fs, ss in zip(fused[i], solo):
@@ -274,7 +274,7 @@ def test_active_stage_subset_only_it_changes():
     for _, p in bank.named_parameters():
         p.data[...] = fill.normal(0.0, 0.3, p.shape)
     imgs = [af.Tensor(rng_of(80 + i).random((1, 1, 32, 32))) for i in range(2)]
-    fused = fused_encode(encoders, imgs, bank, density)
+    fused = fused_encode(encoders, imgs, bank)
     for i in range(2):
         solo = encoders[i](imgs[i])
         # stages before the active set are untouched
@@ -289,11 +289,24 @@ def test_fused_encode_eval_deterministic():
     density = DensityConfig("shared", (1, 2, 3, 4))
     bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=8)
     imgs = [af.Tensor(rng_of(90 + i).random((1, 1, 32, 32))) for i in range(2)]
-    a = fused_encode(encoders, imgs, bank, density)
-    b = fused_encode(encoders, imgs, bank, density)
+    a = fused_encode(encoders, imgs, bank)
+    b = fused_encode(encoders, imgs, bank)
     for pa, pb in zip(a, b):
         for fa, fb in zip(pa, pb):
             assert np.array_equal(fa.data, fb.data)
+
+
+def test_fused_encode_takes_the_layout_from_the_bank_only():
+    """A stale positional density or train flag is an error, never read
+    as the generator."""
+    encoders = _encoders(2, seed=9)
+    density = DensityConfig("pair-bi", (3, 4))
+    bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=9)
+    imgs = [af.Tensor(rng_of(95 + i).random((1, 1, 32, 32))) for i in range(2)]
+    with pytest.raises(TypeError):
+        fused_encode(encoders, imgs, bank, density)
+    with pytest.raises(TypeError):
+        fused_encode(encoders, imgs, bank, True, rng_of(0))
 
 
 def test_fused_encode_rejects_mismatched_spatial_dims():
@@ -301,7 +314,7 @@ def test_fused_encode_rejects_mismatched_spatial_dims():
     with pytest.raises(af.ShapeError):
         fused_encode(encoders,
                      [af.Tensor(np.zeros((1, 1, 32, 32))),
-                      af.Tensor(np.zeros((1, 1, 64, 64)))], None, None)
+                      af.Tensor(np.zeros((1, 1, 64, 64)))], None)
 
 
 # ---------------------------------------------------------------------

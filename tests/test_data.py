@@ -154,6 +154,35 @@ def test_interrupted_save_leaves_no_manifest(tmp_path, fail_writes_after):
         load_dataset(root)
 
 
+def test_smaller_save_removes_the_blobs_it_no_longer_names(tmp_path):
+    root = save_dataset(small_ds(seed=16, n=10), tmp_path / "ds")
+    (root / "notes.txt").write_text("not a blob")
+    save_dataset(small_ds(seed=17, n=3), root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    named = {entry["path"] for rec in manifest["samples"]
+             for entry in (rec["label"], *rec["images"].values())}
+    assert len(named) == 9
+    assert {p.name for p in root.iterdir()} == named | {"manifest.json", "notes.txt"}
+    assert len(load_dataset(root)) == 3
+
+
+def test_save_removes_no_file_an_unusable_old_manifest_names(tmp_path):
+    root = tmp_path / "ds"
+    (root / "sub").mkdir(parents=True)
+    (root / "old.bin").write_bytes(b"x")
+    outside = tmp_path / "outside.bin"
+    outside.write_bytes(b"x")
+    (root / "manifest.json").write_text('{"samples": [{"path": "old.bin"}')  # truncated
+    save_dataset(small_ds(seed=18, n=1), root)
+    assert (root / "old.bin").exists()
+    # paths that read_blob would refuse, a directory and the manifest itself
+    stray = ["../outside.bin", str(outside), "sub", "manifest.json"]
+    (root / "manifest.json").write_text(json.dumps({"samples": [{"path": p} for p in stray]}))
+    save_dataset(small_ds(seed=18, n=1), root)
+    assert outside.exists() and (root / "sub").is_dir() and (root / "old.bin").exists()
+    assert len(load_dataset(root)) == 1
+
+
 def test_out_of_range_labels_rejected(tmp_path):
     ds = small_ds(seed=13, n=1)
     ds.samples[0].label[0, 0] = 200    # not a class, not ignore

@@ -163,28 +163,38 @@ def test_gelu_gradient(seed):
 
 def test_dropout_eval_is_bit_identical():
     x = t(np.random.default_rng(0).normal(size=(5, 5)))
-    out = af.dropout(x, 0.7, train=False)
+    out = af.dropout(x, 0.7)
     assert out.data is x.data
+
+
+def test_regularizers_take_rng_by_keyword_only():
+    """A positional third argument (a stale ``train`` flag) is an error,
+    not a generator."""
+    x = t(np.ones((4, 3)))
+    with pytest.raises(TypeError):
+        af.dropout(x, 0.5, True)
+    with pytest.raises(TypeError):
+        af.drop_path(x, 0.5, np.random.default_rng(0))
 
 
 def test_dropout_p_zero_train_is_identity():
     x = t(np.ones((3, 3)))
-    out = af.dropout(x, 0.0, train=True, rng=np.random.default_rng(0))
+    out = af.dropout(x, 0.0, rng=np.random.default_rng(0))
     assert np.array_equal(out.data, x.data)
 
 
 def test_dropout_rate_validation():
     x = t(np.ones(3))
     with pytest.raises(ValueError):
-        af.dropout(x, 1.0, train=True, rng=np.random.default_rng(0))
+        af.dropout(x, 1.0, rng=np.random.default_rng(0))
     with pytest.raises(ValueError):
-        af.dropout(x, -0.1, train=True, rng=np.random.default_rng(0))
+        af.dropout(x, -0.1, rng=np.random.default_rng(0))
 
 
 def test_dropout_monte_carlo_statistics():
     rng = np.random.default_rng(123)
     x = t(np.full(100_000, 2.0))
-    out = af.dropout(x, 0.5, train=True, rng=rng).data
+    out = af.dropout(x, 0.5, rng=rng).data
     survivors = np.count_nonzero(out) / out.size
     assert abs(survivors - 0.5) < 0.01
     assert abs(out.mean() - 2.0) / 2.0 < 0.02
@@ -192,20 +202,20 @@ def test_dropout_monte_carlo_statistics():
 
 def test_dropout_bit_reproducible_given_seed():
     x = t(np.random.default_rng(1).normal(size=(64, 64)))
-    a = af.dropout(x, 0.3, train=True, rng=np.random.default_rng(9)).data
-    b = af.dropout(x, 0.3, train=True, rng=np.random.default_rng(9)).data
+    a = af.dropout(x, 0.3, rng=np.random.default_rng(9)).data
+    b = af.dropout(x, 0.3, rng=np.random.default_rng(9)).data
     assert np.array_equal(a, b)
 
 
 def test_drop_path_eval_identity():
     x = t(np.ones((4, 3)))
-    assert af.drop_path(x, 0.9, train=False).data is x.data
+    assert af.drop_path(x, 0.9).data is x.data
 
 
 def test_drop_path_zeroes_whole_rows():
     rng = np.random.default_rng(3)
     x = t(np.random.default_rng(0).normal(size=(100, 7)) + 10.0)
-    out = af.drop_path(x, 0.5, train=True, rng=rng).data
+    out = af.drop_path(x, 0.5, rng=rng).data
     row_zero = (out == 0).all(axis=1)
     row_kept = (out != 0).all(axis=1)
     assert ((row_zero) | (row_kept)).all()
@@ -217,7 +227,7 @@ def test_drop_path_near_one_reduces_to_skip_connection():
     rng = np.random.default_rng(4)
     x = t(np.random.default_rng(5).normal(size=(8, 3)))
     branch = t(np.random.default_rng(6).normal(size=(8, 3)))
-    dropped = af.drop_path(branch, 1.0 - 1e-9, train=True, rng=rng)
+    dropped = af.drop_path(branch, 1.0 - 1e-9, rng=rng)
     assert np.array_equal(dropped.data, np.zeros((8, 3)))
     z = x + dropped
     assert np.array_equal(z.data, x.data)
@@ -226,7 +236,7 @@ def test_drop_path_near_one_reduces_to_skip_connection():
 def test_drop_path_monte_carlo_rate():
     rng = np.random.default_rng(42)
     x = t(np.ones((10_000, 2)))
-    out = af.drop_path(x, 0.3, train=True, rng=rng).data
+    out = af.drop_path(x, 0.3, rng=rng).data
     dropped = (out[:, 0] == 0).mean()
     assert abs(dropped - 0.3) < 0.02
 

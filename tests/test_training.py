@@ -528,6 +528,16 @@ def test_interrupted_checkpoint_save_leaves_no_manifest(tmp_path, fail_writes_af
         load_checkpoint(root)
 
 
+def test_adapters_only_save_over_a_full_checkpoint_removes_stale_blobs(tmp_path):
+    model = tiny_model(seed=16)
+    root = save_checkpoint(model, tmp_path / "ckpt")
+    save_checkpoint(model, root, include="adapters")
+    named = {rec["path"] for rec in json.loads((root / "manifest.json").read_text())["params"]}
+    assert len(named) == 96
+    assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
+    load_adapter_checkpoint(tiny_model(seed=16), root)
+
+
 def test_checkpoint_blob_outside_its_directory_rejected(tmp_path):
     root = save_checkpoint(tiny_model(seed=13), tmp_path / "ckpt")
     (root / "p00000.bin").rename(tmp_path / "p00000.bin")
