@@ -13,8 +13,8 @@ from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
                        routes_for)
 from .heads import Decoder, FeatureFusion, modal_merge
 from .model import FusionModel, ModelConfig
-from .budget import (CountSpec, adapter_param_count, analytic_count,
-                     budget_report, empirical_count, route_multiplier)
+from .budget import (adapter_param_count, analytic_count, budget_report,
+                     empirical_count)
 from .data import (IGNORE_INDEX, DatasetError, MultimodalSample, SceneDataset,
                    batch_iter, generate_synthetic, load_dataset, save_dataset,
                    stack_batch)

@@ -13,7 +13,6 @@ routing densities are supported:
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, Optional
@@ -102,12 +101,8 @@ def route_key(variant: Density, src: int, dst: int) -> tuple[int, ...]:
 
 def routes_for(variant: Density, num_modalities: int) -> list[tuple[int, ...]]:
     """All distinct route keys for one (stage, block, position) slot."""
-    pairs = list(itertools.combinations(range(num_modalities), 2))
-    if variant is Density.SHARED:
-        return [()]
-    if variant is Density.PAIR_BIDIRECTIONAL:
-        return [tuple(p) for p in pairs]
-    return [(i, j) for i, j in pairs] + [(j, i) for i, j in pairs]
+    return sorted({route_key(variant, i, j) for i in range(num_modalities)
+                   for j in range(num_modalities) if i != j})
 
 
 class AdapterBank:

@@ -27,12 +27,14 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in text.split(",") if v.strip())
+# argparse types (their names appear in usage errors) for comma-separated
+# lists; an empty value means the flag was not given
+def int_list(text: str) -> tuple[int, ...] | None:
+    return tuple(int(v) for v in text.split(",") if v.strip()) if text else None
 
 
-def _parse_names(text: str) -> tuple[str, ...]:
-    return tuple(v.strip() for v in text.split(",") if v.strip())
+def name_list(text: str) -> tuple[str, ...] | None:
+    return tuple(v.strip() for v in text.split(",") if v.strip()) if text else None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -73,18 +75,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
     p.add_argument("--config", help="JSON config file ({'model': ..., 'train': ...})")
+    # --preset .. --decay-factor and --seed set the ModelConfig and/or
+    # TrainConfig field that their dest names
     p.add_argument("--preset", choices=["tiny", "b2-like"])
-    p.add_argument("--modalities", help="comma-separated modality names "
-                                        "(default: all in the dataset)")
+    p.add_argument("--modalities", type=name_list,
+                   help="comma-separated modality names (default: all in the dataset)")
     p.add_argument("--density", choices=["shared", "pair-bi", "pair-uni"])
-    p.add_argument("--stages", help="active fusion stages, e.g. 3,4")
-    p.add_argument("--r", type=int, help="adapter bottleneck width")
-    p.add_argument("--ffm", action="store_true", help="enable the per-stage "
-                                                      "feature-fusion merge")
+    p.add_argument("--stages", dest="active_stages", type=int_list,
+                   help="active fusion stages, e.g. 3,4")
+    p.add_argument("--r", dest="bottleneck", type=int, help="adapter bottleneck width")
+    p.add_argument("--ffm", dest="use_ffm", action="store_true", default=None,
+                   help="enable the per-stage feature-fusion merge")
     p.add_argument("--dtype", choices=["float32", "float64"])
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
-    p.add_argument("--lr", type=float)
+    p.add_argument("--lr", dest="base_lr", type=float)
     p.add_argument("--warmup-epochs", type=float)
     p.add_argument("--decay-factor", type=float)
     p.add_argument("--eval-data", help="optional eval dataset directory")
@@ -136,48 +141,23 @@ def cmd_synth_data(args) -> int:
 
 
 def _resolve_train_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
+    """Each config from the file's values, then every flag given for one
+    of its fields, then the dataset's channels and class count."""
     file_cfg = _load_config_file(args.config)
     model_kv = dict(file_cfg.get("model", {}))
     train_kv = dict(file_cfg.get("train", {}))
+    for kv, cls in ((model_kv, ModelConfig), (train_kv, TrainConfig)):
+        kv.update((k, v) for k, v in vars(args).items()
+                  if v is not None and k in cls.__dataclass_fields__)
 
-    names = _parse_names(args.modalities) if args.modalities else \
-        tuple(model_kv.get("modalities", dataset.modality_names))
+    names = tuple(model_kv.get("modalities", dataset.modality_names))
     channel_of = dict(dataset.modalities)
     missing = [n for n in names if n not in channel_of]
     if missing:
         raise ConfigError(f"modalities {missing} not present in the dataset "
                           f"(has {dataset.modality_names})")
-    model_kv["modalities"] = names
-    model_kv["channels"] = tuple(channel_of[n] for n in names)
-    model_kv["num_classes"] = dataset.num_classes
-    if args.preset:
-        model_kv["preset"] = args.preset
-    if args.density:
-        model_kv["density"] = args.density
-    if args.stages:
-        model_kv["active_stages"] = _parse_ints(args.stages)
-    if args.r is not None:
-        model_kv["bottleneck"] = args.r
-    if args.ffm:
-        model_kv["use_ffm"] = True
-    if args.dtype:
-        model_kv["dtype"] = args.dtype
-    if args.seed is not None:
-        model_kv["seed"] = args.seed
-
-    if args.epochs is not None:
-        train_kv["epochs"] = args.epochs
-    if args.batch_size is not None:
-        train_kv["batch_size"] = args.batch_size
-    if args.lr is not None:
-        train_kv["base_lr"] = args.lr
-    if args.warmup_epochs is not None:
-        train_kv["warmup_epochs"] = args.warmup_epochs
-    if args.decay_factor is not None:
-        train_kv["decay_factor"] = args.decay_factor
-    if args.seed is not None:
-        train_kv["seed"] = args.seed
-
+    model_kv.update(modalities=names, channels=tuple(channel_of[n] for n in names),
+                    num_classes=dataset.num_classes)
     try:
         return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
     except (TypeError, ValueError) as exc:
@@ -237,7 +217,7 @@ def cmd_eval(args) -> int:
 
 def cmd_param_count(args) -> int:
     record, table = budget_report(args.preset, args.modalities, args.density,
-                                  _parse_ints(args.stages), args.r)
+                                  int_list(args.stages) or (), args.r)
     print(table)
     for key, value in record.items():
         print(f"{key}={value}")

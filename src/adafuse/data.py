@@ -139,26 +139,32 @@ def write_store(directory, kind: str, fields: dict,
     """Write a manifest+blob directory; datasets and checkpoints share it.
 
     ``blobs`` are (path relative to the directory, array in its on-disk
-    dtype) pairs that ``fields`` refers to. An existing manifest is
-    removed first and the new one is moved into place only after every
-    blob is written, so a save interrupted partway leaves no manifest,
-    never one that mixes two saves. Then the blobs the previous manifest
-    named and this one does not are deleted; other files are left alone.
+    dtype) pairs that ``fields`` refers to. The existing manifest is moved
+    aside to ``manifest.json.old`` and the new one is written to
+    ``manifest.json.tmp`` before any blob, then moved into place after
+    every blob is written, so a save interrupted partway leaves no
+    manifest, never one that mixes two saves. Then the blobs that any of
+    the three manifests named (an interrupted save's included) and the
+    new one does not are deleted, and ``manifest.json.old`` last, so a
+    save cut short while deleting leaves it for the next save; other
+    files are left alone.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    stale = _named_blobs(out / MANIFEST)
-    (out / MANIFEST).unlink(missing_ok=True)
+    final, old, tmp = (out / (MANIFEST + ext) for ext in ("", ".old", ".tmp"))
+    stale = _named_blobs(final) | _named_blobs(old) | _named_blobs(tmp)
+    if final.exists():
+        os.replace(final, old)
+    manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
+    tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     for path, array in blobs:
         (out / path).write_bytes(array.tobytes())
         stale.discard(Path(path))
-    manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
-    tmp = out / (MANIFEST + ".tmp")
-    tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    os.replace(tmp, out / MANIFEST)
-    for path in stale - {Path(MANIFEST)}:
+    os.replace(tmp, final)
+    for path in stale - {Path(m.name) for m in (final, old, tmp)}:
         if (out / path).is_file():
             (out / path).unlink()
+    old.unlink(missing_ok=True)
     return out
 
 

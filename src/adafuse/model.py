@@ -16,8 +16,27 @@ from .tensor import Tensor, ShapeError, upsample_bilinear
 _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 
+class ConfigCodec:
+    """The dict form of a config dataclass. ``from_dict`` refuses keys
+    that are not fields, naming the config's ``section`` in the error."""
+
+    section = ""
+
+    def to_dict(self) -> dict:
+        return asdict(self)
+
+    @classmethod
+    def from_dict(cls, data: dict):
+        unknown = set(data) - set(cls.__dataclass_fields__)
+        if unknown:
+            raise ValueError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        return cls(**data)
+
+
 @dataclass
-class ModelConfig:
+class ModelConfig(ConfigCodec):
+    section = "model"
+
     preset: str = "tiny"
     modalities: tuple[str, ...] = ("vis", "ir")
     channels: tuple[int, ...] = (1, 1)
@@ -59,21 +78,6 @@ class ModelConfig:
 
     def np_dtype(self):
         return _DTYPES[self.dtype]
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["modalities"] = list(self.modalities)
-        d["channels"] = list(self.channels)
-        d["active_stages"] = list(self.active_stages)
-        return d
-
-    @staticmethod
-    def from_dict(data: dict) -> "ModelConfig":
-        known = set(ModelConfig.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown model config keys: {sorted(unknown)}")
-        return ModelConfig(**data)
 
 
 class FusionModel:

@@ -19,6 +19,7 @@ tensors, reference counting frees every node and buffer.
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import math
 from typing import Callable, Optional, Sequence
 
@@ -72,7 +73,9 @@ class Tape:
 
 
 _TAPE = Tape()
-_grad_enabled = True
+# per thread (and per asyncio task): one thread's no_grad leaves the
+# others recording
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def active_tape() -> Tape:
@@ -81,14 +84,12 @@ def active_tape() -> Tape:
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block."""
-    global _grad_enabled
-    prev = _grad_enabled
-    _grad_enabled = False
+    """Disable tape recording inside the block, in the calling thread."""
+    token = _grad_enabled.set(False)
     try:
         yield
     finally:
-        _grad_enabled = prev
+        _grad_enabled.reset(token)
 
 
 class Tensor:
@@ -183,7 +184,7 @@ def _as_tensor(value, dtype) -> Tensor:
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     """Wrap an op result; record a node iff gradients can flow."""
-    needs = _grad_enabled and any(t.requires_grad for t in inputs)
+    needs = _grad_enabled.get() and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
         node = Node(tuple(inputs), out, backward_fn)
@@ -219,37 +220,22 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # Mark ancestors so unrelated tape entries are skipped.
-    marked: set[int] = set()
-    stack = [loss]
-    while stack:
-        node = stack.pop()._node
-        if node is not None and id(node) not in marked:
-            marked.add(id(node))
-            stack.extend(node.inputs)
-
-    # Per-call contribution buffers; deposited into leaf .grad exactly once.
-    contrib: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    holders: dict[int, Tensor] = {id(loss): loss}
-
+    # id -> (tensor, pending gradient); holding the tensor keeps its id
+    # from being reused during the sweep. A node runs only when its
+    # output has a pending gradient, so nodes outside the loss's graph
+    # never run.
+    pending: dict[int, tuple[Tensor, np.ndarray]] = {
+        id(loss): (loss, np.ones_like(loss.data))}
     for node in reversed(_TAPE._nodes):
-        if id(node) not in marked:
+        entry = pending.pop(id(node.output), None)
+        if entry is None:
             continue
-        g_out = contrib.pop(id(node.output), None)
-        if g_out is None:
-            continue
-        holders.pop(id(node.output), None)
-        for t, g in zip(node.inputs, node.backward_fn(g_out)):
+        for t, g in zip(node.inputs, node.backward_fn(entry[1])):
             if g is None or not t.requires_grad:
                 continue
-            key = id(t)
-            if key in contrib:
-                contrib[key] = contrib[key] + g
-            else:
-                contrib[key] = g
-                holders[key] = t
-    for key, g in contrib.items():
-        t = holders[key]
+            prev = pending.get(id(t))
+            pending[id(t)] = (t, g if prev is None else prev[1] + g)
+    for t, g in pending.values():
         if t._node is None:
             t.grad = g if t.grad is None else t.grad + g
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import (SceneDataset, batch_iter, manifest_fields, read_blob,
                    read_manifest, stack_batch, write_store)
-from .model import FusionModel, ModelConfig
+from .model import ConfigCodec, FusionModel, ModelConfig
 from .tensor import Tensor, active_tape, backward, log_softmax, mul, no_grad, tsum
 
 _BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
@@ -27,7 +27,9 @@ class CheckpointError(ValueError):
 
 
 @dataclass
-class TrainConfig:
+class TrainConfig(ConfigCodec):
+    section = "train"
+
     base_lr: float = 6e-5            # FMB-style preset uses 1.2e-4
     warmup_epochs: float = 10.0
     decay_factor: float = 0.01
@@ -46,17 +48,6 @@ class TrainConfig:
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_dict(data: dict) -> "TrainConfig":
-        known = set(TrainConfig.__dataclass_fields__)
-        unknown = set(data) - known
-        if unknown:
-            raise ValueError(f"unknown train config keys: {sorted(unknown)}")
-        return TrainConfig(**data)
 
 
 def lr_at(t: float, cfg: TrainConfig) -> float:

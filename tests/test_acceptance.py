@@ -12,7 +12,7 @@ import pytest
 
 import adafuse as af
 from adafuse.adapters import DensityConfig, build_adapter_bank, fused_encode
-from adafuse.budget import CountSpec, analytic_count, empirical_count
+from adafuse.budget import analytic_count, empirical_count
 from adafuse.data import SceneDataset, generate_synthetic
 from adafuse.encoder import Encoder, EncoderConfig
 from adafuse.training import ConfusionMatrix, TrainConfig, evaluate, fit
@@ -40,9 +40,8 @@ def test_criterion_1_parameter_budgets():
     ok = True
     details = []
     for m, stages, want, want_million in cases:
-        spec = CountSpec(cfg.dims, cfg.depths, 8, m, "pair-bi", stages,
-                         include_biases=True)
-        analytic = analytic_count(spec)
+        analytic = analytic_count(cfg, DensityConfig("pair-bi", stages), m, 8,
+                                  include_biases=True)
         exact = analytic == want
         rounded = round(analytic / 1e6, 2) == want_million
         empirical_match = True

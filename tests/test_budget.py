@@ -4,46 +4,46 @@ import math
 
 import pytest
 
-from adafuse.adapters import Density, DensityConfig, build_adapter_bank
-from adafuse.budget import (CountSpec, adapter_param_count, analytic_count,
-                            budget_report, empirical_count, route_multiplier)
+from adafuse.adapters import Density, DensityConfig, build_adapter_bank, routes_for
+from adafuse.budget import (adapter_param_count, analytic_count, budget_report,
+                            empirical_count)
 from adafuse.encoder import EncoderConfig
 from adafuse.model import FusionModel, ModelConfig
 
-B2 = dict(dims=(64, 128, 320, 512), depths=(3, 4, 6, 3))
+B2 = EncoderConfig.preset("b2-like")
 
 
-def spec_for(m, stages, density="pair-bi", bias=True, r=8):
-    return CountSpec(B2["dims"], B2["depths"], r, m, Density.parse(density),
-                     tuple(stages), include_biases=bias)
+def count_for(m, stages, density="pair-bi", bias=True, r=8, config=B2):
+    return analytic_count(config, DensityConfig(density, tuple(stages)), m, r,
+                          include_biases=bias)
 
 
 # Frozen expected totals, derived by direct summation over stages:
 # per adapter 2*r*d + r^2 (+ 2r + d biases), x2 positions, x route
-# multiplier, x depth. They reproduce the published budget deltas.
+# count, x depth. They reproduce the published budget deltas.
 def test_m2_all_stages_is_144k():
-    assert analytic_count(spec_for(2, (1, 2, 3, 4))) == 144_000
+    assert count_for(2, (1, 2, 3, 4)) == 144_000
 
 
 def test_m3_all_stages_is_432k():
-    assert analytic_count(spec_for(3, (1, 2, 3, 4))) == 432_000
+    assert count_for(3, (1, 2, 3, 4)) == 432_000
 
 
 def test_m4_latter_two_stages_is_713664():
-    assert analytic_count(spec_for(4, (3, 4))) == 713_664
+    assert count_for(4, (3, 4)) == 713_664
 
 
 def test_deltas_round_to_published_millions():
-    assert round(analytic_count(spec_for(2, (1, 2, 3, 4))) / 1e6, 2) == 0.14
-    assert round(analytic_count(spec_for(3, (1, 2, 3, 4))) / 1e6, 2) == 0.43
-    assert round(analytic_count(spec_for(4, (3, 4))) / 1e6, 2) == 0.71
+    assert round(count_for(2, (1, 2, 3, 4)) / 1e6, 2) == 0.14
+    assert round(count_for(3, (1, 2, 3, 4)) / 1e6, 2) == 0.43
+    assert round(count_for(4, (3, 4)) / 1e6, 2) == 0.71
 
 
 def test_weights_only_convention():
     # literal formula without biases: sum (2 r d_i + r^2) * 2 * C(m,2) * depth_i
-    got = analytic_count(spec_for(2, (1, 2, 3, 4), bias=False))
+    got = count_for(2, (1, 2, 3, 4), bias=False)
     want = sum((2 * 8 * d + 64) * 2 * 1 * dep
-               for d, dep in zip(B2["dims"], B2["depths"]))
+               for d, dep in zip(B2.dims, B2.depths))
     assert got == want == 135_168
 
 
@@ -58,49 +58,35 @@ def test_analytic_equals_enumerated_bank(m, density):
     cfg = EncoderConfig.preset("b2-like")
     stages = (3, 4)
     bank = build_adapter_bank(m, cfg, DensityConfig(density, stages), 8, seed=0)
-    spec = spec_for(m, stages, density)
-    assert analytic_count(spec) == empirical_count(bank)
+    assert count_for(m, stages, density) == empirical_count(bank)
 
 
 def test_shared_count_is_pair_bi_over_choose2():
     for m in (2, 3, 4, 6):
-        shared = analytic_count(spec_for(m, (1, 2), "shared"))
-        pair = analytic_count(spec_for(m, (1, 2), "pair-bi"))
+        shared = count_for(m, (1, 2), "shared")
+        pair = count_for(m, (1, 2), "pair-bi")
         assert shared == pair // math.comb(m, 2)
 
 
 def test_monotonic_in_m_r_and_stages():
-    base = analytic_count(spec_for(2, (3, 4)))
-    assert analytic_count(spec_for(3, (3, 4))) > base
-    assert analytic_count(spec_for(2, (2, 3, 4))) > base
-    assert analytic_count(CountSpec(B2["dims"], B2["depths"], 16, 2,
-                                    Density.PAIR_BIDIRECTIONAL, (3, 4))) > base
+    base = count_for(2, (3, 4))
+    assert count_for(3, (3, 4)) > base
+    assert count_for(2, (2, 3, 4)) > base
+    assert count_for(2, (3, 4), r=16) > base
 
 
-def test_route_multiplier():
-    assert route_multiplier(Density.SHARED, 5) == 1
-    assert route_multiplier(Density.PAIR_BIDIRECTIONAL, 5) == 10
-    assert route_multiplier(Density.PAIR_UNIDIRECTIONAL, 5) == 20
+def test_route_counts():
+    assert len(routes_for(Density.SHARED, 5)) == 1
+    assert len(routes_for(Density.PAIR_BIDIRECTIONAL, 5)) == 10
+    assert len(routes_for(Density.PAIR_UNIDIRECTIONAL, 5)) == 20
 
 
-def test_empirical_count_on_model_filters():
+def test_empirical_count_of_a_model_bank_matches_analytic():
     cfg = ModelConfig(preset="tiny", modalities=("a", "b"), channels=(1, 1),
                       bottleneck=4, dtype="float32", num_classes=3)
     model = FusionModel(cfg)
-    adapters = empirical_count(model, "adapters-only")
-    trainable = empirical_count(model, "trainable")
-    frozen = empirical_count(model, "frozen")
-    total = empirical_count(model, "all")
-    assert adapters > 0
-    assert trainable == total - frozen
-    # frozen buffers are exactly the encoders
-    enc_total = sum(p.size for enc in model.encoders
-                    for _, p in enc.named_parameters())
-    assert frozen == enc_total
-    # adapters-only matches the analytic count for the model's bank
-    spec = CountSpec((16, 32, 64, 128), (2, 2, 2, 2), 4, 2,
-                     Density.PAIR_BIDIRECTIONAL, (1, 2, 3, 4))
-    assert adapters == analytic_count(spec)
+    assert empirical_count(model.bank) == \
+        count_for(2, (1, 2, 3, 4), r=4, config=EncoderConfig.preset("tiny")) > 0
 
 
 def test_budget_report_record_and_table():
@@ -112,8 +98,10 @@ def test_budget_report_record_and_table():
     assert "144,000" in table
 
 
-def test_count_spec_validation():
-    with pytest.raises(ValueError):
-        spec_for(1, (1,))
-    with pytest.raises(ValueError):
-        CountSpec((64,), (3,), 8, 2, Density.SHARED, (2,))
+def test_analytic_count_validation():
+    with pytest.raises(ValueError, match=">= 2 modalities"):
+        count_for(1, (1,))
+    with pytest.raises(ValueError, match="stage 5 outside 1..4"):
+        count_for(2, (3, 5))
+    with pytest.raises(ValueError, match="stage 0 outside 1..4"):
+        count_for(2, (0,))

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from adafuse.cli import main
+from adafuse.cli import _resolve_train_configs, build_parser, main
 from adafuse.data import generate_synthetic, load_dataset, save_dataset
 from adafuse.model import FusionModel, ModelConfig
 from adafuse.training import save_checkpoint
@@ -181,3 +181,57 @@ def test_config_file_with_unknown_keys_rejected(tmp_path, capsys):
                 "--config", str(cfg_file)])
     assert code == 2
     assert "unknown model config keys" in capsys.readouterr().err
+
+
+def resolve(tmp_path, *flags, config=None):
+    argv = ["train", "--data", "unused", "--out", "unused", *flags]
+    if config is not None:
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(config))
+        argv += ["--config", str(cfg_file)]
+    return _resolve_train_configs(build_parser().parse_args(argv),
+                                  generate_synthetic(2, 32, 32, 4, 2, seed=0))
+
+
+def test_every_train_flag_lands_on_its_field(tmp_path):
+    model_cfg, train_cfg = resolve(
+        tmp_path, "--preset", "b2-like", "--modalities", "ir", "--density", "pair-uni",
+        "--stages", "3,4", "--r", "0", "--ffm", "--dtype", "float32", "--epochs", "6",
+        "--batch-size", "3", "--lr", "0.5", "--warmup-epochs", "2",
+        "--decay-factor", "0.25", "--seed", "7")
+    assert (model_cfg.preset, model_cfg.modalities, model_cfg.channels) == \
+        ("b2-like", ("ir",), (1,))
+    assert (model_cfg.density, model_cfg.active_stages, model_cfg.bottleneck) == \
+        ("pair-uni", (3, 4), 0)
+    assert (model_cfg.use_ffm, model_cfg.dtype, model_cfg.seed) == (True, "float32", 7)
+    assert model_cfg.num_classes == 4
+    assert (train_cfg.epochs, train_cfg.batch_size, train_cfg.base_lr) == (6, 3, 0.5)
+    assert (train_cfg.warmup_epochs, train_cfg.decay_factor, train_cfg.seed) == \
+        (2.0, 0.25, 7)
+
+
+def test_file_values_survive_absent_and_empty_flags(tmp_path):
+    config = {"model": {"modalities": ["ir"], "density": "shared", "active_stages": [2],
+                        "bottleneck": 2, "use_ffm": True, "seed": 3,
+                        "channels": [9], "num_classes": 9},
+              "train": {"epochs": 4, "warmup_epochs": 1, "base_lr": 0.1, "seed": 5}}
+    for flags in ((), ("--stages", "", "--modalities", "")):
+        model_cfg, train_cfg = resolve(tmp_path, *flags, config=config)
+        assert (model_cfg.modalities, model_cfg.density, model_cfg.active_stages) == \
+            (("ir",), "shared", (2,))
+        assert (model_cfg.bottleneck, model_cfg.use_ffm, model_cfg.seed) == (2, True, 3)
+        # channels and the class count always come from the dataset
+        assert (model_cfg.channels, model_cfg.num_classes) == ((1,), 4)
+        assert (train_cfg.epochs, train_cfg.base_lr, train_cfg.seed) == (4, 0.1, 5)
+
+
+def test_empty_list_flags_fall_back_to_the_defaults(tmp_path):
+    model_cfg, train_cfg = resolve(tmp_path, "--stages", "", "--modalities", "")
+    assert model_cfg == ModelConfig(channels=(1, 1), num_classes=4)
+    assert train_cfg.seed == 0
+
+
+def test_seed_flag_sets_both_configs_over_the_file(tmp_path):
+    config = {"model": {"seed": 3}, "train": {"seed": 5, "epochs": 4, "warmup_epochs": 1}}
+    model_cfg, train_cfg = resolve(tmp_path, "--seed", "11", config=config)
+    assert (model_cfg.seed, train_cfg.seed, train_cfg.epochs) == (11, 11, 4)

@@ -166,6 +166,23 @@ def test_smaller_save_removes_the_blobs_it_no_longer_names(tmp_path):
     assert len(load_dataset(root)) == 3
 
 
+def test_save_after_an_interrupted_one_removes_the_blobs_both_left(tmp_path,
+                                                                  fail_writes_after,
+                                                                  monkeypatch):
+    root = save_dataset(small_ds(seed=16, n=10), tmp_path / "ds")
+    fail_writes_after(2)
+    with pytest.raises(OSError):
+        save_dataset(small_ds(seed=17, n=3), root)
+    assert not (root / "manifest.json").exists()
+    monkeypatch.undo()
+    save_dataset(small_ds(seed=17, n=3), root)
+    manifest = json.loads((root / "manifest.json").read_text())
+    named = {entry["path"] for rec in manifest["samples"]
+             for entry in (rec["label"], *rec["images"].values())}
+    assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
+    assert len(load_dataset(root)) == 3
+
+
 def test_save_removes_no_file_an_unusable_old_manifest_names(tmp_path):
     root = tmp_path / "ds"
     (root / "sub").mkdir(parents=True)

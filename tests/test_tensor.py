@@ -1,5 +1,7 @@
 """Primitive ops: contract examples, gradient oracles, invariants."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,27 @@ def test_no_grad_suppresses_recording():
         y = x * 2.0
     assert y._node is None and not y.requires_grad
     assert len(af.active_tape()) == 0
+
+
+def test_no_grad_in_one_thread_leaves_another_recording():
+    entered, release = threading.Event(), threading.Event()
+
+    def hold_no_grad():
+        with af.no_grad():
+            entered.set()
+            release.wait(timeout=10)
+
+    holder = threading.Thread(target=hold_no_grad)
+    holder.start()
+    try:
+        assert entered.wait(timeout=10)
+        y = t(np.ones(3), rg=True) * 2.0
+    finally:
+        release.set()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
+    assert y.requires_grad and y._node is not None
+    assert len(af.active_tape()) == 1
 
 
 # ---------------------------------------------------------------------
