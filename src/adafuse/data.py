@@ -143,29 +143,45 @@ def write_store(directory, kind: str, fields: dict,
     aside to ``manifest.json.old`` and the new one is written to
     ``manifest.json.tmp`` before any blob, then moved into place after
     every blob is written, so a save interrupted partway leaves no
-    manifest, never one that mixes two saves. Then the blobs that any of
-    the three manifests named (an interrupted save's included) and the
-    new one does not are deleted, and ``manifest.json.old`` last, so a
-    save cut short while deleting leaves it for the next save; other
-    files are left alone.
+    manifest, never one that mixes two saves. Before either file is
+    overwritten, the blobs only it names are deleted, so interrupted saves
+    in a row orphan nothing. After the new manifest is in place, the blobs
+    that ``manifest.json.old`` named and the new one does not are deleted,
+    and ``manifest.json.old`` last, so a save cut short while deleting
+    leaves it for the next save; other files are left alone.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
     final, old, tmp = (out / (MANIFEST + ext) for ext in ("", ".old", ".tmp"))
-    stale = _named_blobs(final) | _named_blobs(old) | _named_blobs(tmp)
     if final.exists():
+        _drop_manifest(old, others=(final, tmp))
         os.replace(final, old)
+    _drop_manifest(tmp, others=(final, old))
+    stale = _named_blobs(old)
     manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
     tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
     for path, array in blobs:
         (out / path).write_bytes(array.tobytes())
         stale.discard(Path(path))
     os.replace(tmp, final)
-    for path in stale - {Path(m.name) for m in (final, old, tmp)}:
-        if (out / path).is_file():
-            (out / path).unlink()
+    _unlink_blobs(out, stale)
     old.unlink(missing_ok=True)
     return out
+
+
+def _drop_manifest(manifest: Path, others: Sequence[Path]) -> None:
+    """Delete the blobs ``manifest`` names and none of ``others`` does,
+    then ``manifest`` itself."""
+    kept = set().union(*map(_named_blobs, others))
+    _unlink_blobs(manifest.parent, _named_blobs(manifest) - kept)
+    manifest.unlink(missing_ok=True)
+
+
+def _unlink_blobs(root: Path, paths: set[Path]) -> None:
+    """Delete the regular files among ``paths``, never a manifest."""
+    for path in paths - {Path(MANIFEST + ext) for ext in ("", ".old", ".tmp")}:
+        if (root / path).is_file():
+            (root / path).unlink()
 
 
 def _named_blobs(manifest_path: Path) -> set[Path]:
@@ -271,16 +287,27 @@ def save_dataset(dataset: SceneDataset, directory) -> Path:
 
 
 def load_dataset(directory) -> SceneDataset:
+    """Read a ``save_dataset`` directory. Every sample must hold exactly
+    the manifest's modalities, each image [channels, height, width], and
+    an [height, width] label; any mismatch raises ``DatasetError``."""
     root = Path(directory)
     manifest = read_manifest(root, "dataset")
     with manifest_fields():
         num_classes = int(manifest["num_classes"])
         ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
+        height, width = int(manifest["height"]), int(manifest["width"])
+        modalities = [(m["name"], int(m["channels"])) for m in manifest["modalities"]]
+        shapes = {name: (c, height, width) for name, c in modalities}
         samples = []
-        for rec in manifest["samples"]:
+        for i, rec in enumerate(manifest["samples"]):
             images = {name: read_blob(root, entry, "<f4")
                       for name, entry in rec["images"].items()}
             label = read_blob(root, rec["label"], "<u2")
+            found = {name: img.shape for name, img in images.items()}
+            if found != shapes or label.shape != (height, width):
+                raise DatasetError(
+                    f"sample {i} holds images {found} and a {label.shape} label; "
+                    f"the manifest declares {shapes} and {(height, width)}")
             bad = (label >= num_classes) & (label != ignore)
             if bad.any():
                 raise DatasetError(f"label {rec['label']['path']!r} holds class ids "
@@ -289,8 +316,7 @@ def load_dataset(directory) -> SceneDataset:
         visibility = {int(k): tuple(v)
                       for k, v in manifest.get("class_visibility", {}).items()}
         return SceneDataset(
-            samples, num_classes, int(manifest["height"]), int(manifest["width"]),
-            [(m["name"], int(m["channels"])) for m in manifest["modalities"]],
+            samples, num_classes, height, width, modalities,
             int(manifest["seed"]), manifest.get("split", "train"), ignore,
             visibility)
 

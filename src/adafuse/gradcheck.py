@@ -21,8 +21,8 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     ``f`` is a scalar-valued closure over ``params``; it must be
     deterministic (re-seed any internal randomness per call). When
     ``max_coords`` is set, a seeded random subsample of coordinates per
-    parameter is probed instead of every coordinate. Clears the active
-    tape: run it standalone, not mid-graph.
+    parameter is probed instead of every coordinate. Clears the calling
+    thread's tape: run it standalone, not mid-graph.
     """
     tape = active_tape()
     tape.clear()

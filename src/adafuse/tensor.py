@@ -3,24 +3,26 @@
 Every numeric primitive the models need lives here: matmul, broadcast
 elementwise arithmetic, layer norm, softmax/log-softmax, GELU, dropout,
 drop-path, reductions, shape ops, overlapping patch extraction and
-bilinear upsampling. Executed primitives are recorded on a global
-:class:`Tape` in execution order; ``backward`` sweeps that record in
-reverse, so gradient accumulation order is fixed by forward order and
-runs are bit-stable.
+bilinear upsampling. Executed primitives are recorded in execution
+order on the calling thread's :class:`Tape`; ``backward`` sweeps that
+record in reverse, so gradient accumulation order is fixed by forward
+order and runs are bit-stable. Each thread records its own graph and
+must run ``backward`` on it itself.
 
 A node's backward rule takes the output gradient and returns one entry
 per input: the input's gradient, or ``None`` for an input that did not
 require a gradient when the node was made. Frozen operands (encoder
 weights, constants, wrapped scalars) therefore cost no backward work.
-``Tape.clear`` releases the recorded graph: once the caller drops its
-tensors, reference counting frees every node and buffer.
+Nodes link only to their inputs, so the graph holds no reference cycle:
+once ``Tape.clear`` has run and the caller drops its tensors, reference
+counting frees every node and buffer.
 """
 
 from __future__ import annotations
 
 import contextlib
-import contextvars
 import math
+import threading
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -32,40 +34,30 @@ class ShapeError(ValueError):
 
 
 class Node:
-    """One executed primitive: its inputs, output and gradient rule."""
+    """One executed primitive: its inputs and gradient rule."""
 
-    __slots__ = ("inputs", "output", "backward_fn")
+    __slots__ = ("inputs", "backward_fn")
 
-    def __init__(self, inputs, output, backward_fn):
+    def __init__(self, inputs, backward_fn):
         self.inputs = inputs
-        self.output = output
         self.backward_fn = backward_fn
 
 
-class Tape:
-    """Execution-ordered record of primitive operations.
+class Tape(threading.local):
+    """Execution-ordered record of primitive operations, one per thread.
 
-    Reverse iteration visits each node exactly once, which is the
+    Each thread that touches a tape sees its own node list and grad
+    flag. Reverse iteration visits each node exactly once, which is the
     traversal ``backward`` uses. Clear it between training steps to
-    release intermediate buffers.
+    release intermediate buffers; tensors kept past ``clear`` keep their
+    values, but a ``backward`` through them raises.
     """
 
     def __init__(self):
         self._nodes: list[Node] = []
-
-    def record(self, node: Node) -> None:
-        self._nodes.append(node)
+        self.grad_enabled = True
 
     def clear(self) -> None:
-        """Forget every recorded node and release the graph.
-
-        Each node drops its link to its output, which breaks the
-        ``Node.output`` <-> ``Tensor._node`` cycle, so the graph is freed
-        by reference counting as soon as no caller holds its tensors.
-        Tensors kept past ``clear`` stay valid but no longer backpropagate.
-        """
-        for node in self._nodes:
-            node.output = None
         self._nodes.clear()
 
     def __len__(self) -> int:
@@ -73,23 +65,21 @@ class Tape:
 
 
 _TAPE = Tape()
-# per thread (and per asyncio task): one thread's no_grad leaves the
-# others recording
-_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 def active_tape() -> Tape:
+    """The calling thread's tape."""
     return _TAPE
 
 
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block, in the calling thread."""
-    token = _grad_enabled.set(False)
+    saved, _TAPE.grad_enabled = _TAPE.grad_enabled, False
     try:
         yield
     finally:
-        _grad_enabled.reset(token)
+        _TAPE.grad_enabled = saved
 
 
 class Tensor:
@@ -184,12 +174,11 @@ def _as_tensor(value, dtype) -> Tensor:
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     """Wrap an op result; record a node iff gradients can flow."""
-    needs = _grad_enabled.get() and any(t.requires_grad for t in inputs)
+    needs = _TAPE.grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor(out_data, requires_grad=needs)
     if needs:
-        node = Node(tuple(inputs), out, backward_fn)
-        out._node = node
-        _TAPE.record(node)
+        out._node = Node(tuple(inputs), backward_fn)
+        _TAPE._nodes.append(out._node)
     return out
 
 
@@ -215,29 +204,31 @@ def backward(loss: Tensor) -> None:
     tape order, so accumulation order is deterministic for a fixed
     forward order. Backward rules return ``None`` for inputs that did
     not require a gradient when their node was recorded, and those
-    inputs are skipped. Nodes dropped by ``Tape.clear`` are not visited.
+    inputs are skipped. Raises ``RuntimeError`` if part of the graph is
+    not on the calling thread's tape.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # id -> (tensor, pending gradient); holding the tensor keeps its id
-    # from being reused during the sweep. A node runs only when its
-    # output has a pending gradient, so nodes outside the loss's graph
-    # never run.
-    pending: dict[int, tuple[Tensor, np.ndarray]] = {
-        id(loss): (loss, np.ones_like(loss.data))}
+    # node (or leaf tensor) -> pending gradient. A node runs only when it
+    # has a pending gradient, so nodes outside the loss's graph never run.
+    pending: dict[Node | Tensor, np.ndarray] = {
+        loss._node or loss: np.ones_like(loss.data)}
     for node in reversed(_TAPE._nodes):
-        entry = pending.pop(id(node.output), None)
-        if entry is None:
+        g_out = pending.pop(node, None)
+        if g_out is None:
             continue
-        for t, g in zip(node.inputs, node.backward_fn(entry[1])):
+        for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue
-            prev = pending.get(id(t))
-            pending[id(t)] = (t, g if prev is None else prev[1] + g)
-    for t, g in pending.values():
-        if t._node is None:
-            t.grad = g if t.grad is None else t.grad + g
+            key = t._node or t
+            prev = pending.get(key)
+            pending[key] = g if prev is None else prev + g
+    if any(isinstance(key, Node) for key in pending):
+        raise RuntimeError("backward: the loss's graph is not on this thread's tape; "
+                           "it was cleared, or recorded in another thread")
+    for t, g in pending.items():
+        t.grad = g if t.grad is None else t.grad + g
 
 
 # ---------------------------------------------------------------------

@@ -132,7 +132,9 @@ def train_step(model: FusionModel, images: dict, labels: np.ndarray,
     """One forward/backward/update on the trainable parameters only.
 
     ``images`` may carry cached leading encoder stages in place of a
-    modality's image (see ``FusionModel.encode``)."""
+    modality's image (see ``FusionModel.encode``). The step records its
+    graph on the calling thread's tape and clears that tape before and
+    after, so steps in other threads keep their graphs."""
     tape = active_tape()
     tape.clear()
     try:

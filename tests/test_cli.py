@@ -75,6 +75,20 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("edit", [lambda images: images.pop("ir"),
+                                  lambda images: images["ir"].update(shape=[1, 16, 64])],
+                         ids=["missing-modality", "wrong-shape"])
+def test_train_sample_disagreeing_with_manifest_is_io_error(tmp_path, capsys, edit):
+    root = save_dataset(generate_synthetic(4, 32, 32, 5, 2, seed=0), tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    edit(manifest["samples"][3]["images"])
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    code = run(["train", "--data", str(root), "--out", str(tmp_path / "run"),
+                "--epochs", "1", "--warmup-epochs", "0", "--batch-size", "4"])
+    assert code == 3
+    assert "sample 3" in capsys.readouterr().err
+
+
 def test_eval_truncated_checkpoint_is_io_error(tmp_path, capsys):
     data_dir = tmp_path / "ds"
     save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), data_dir)

@@ -166,21 +166,27 @@ def test_smaller_save_removes_the_blobs_it_no_longer_names(tmp_path):
     assert len(load_dataset(root)) == 3
 
 
-def test_save_after_an_interrupted_one_removes_the_blobs_both_left(tmp_path,
-                                                                  fail_writes_after,
-                                                                  monkeypatch):
-    root = save_dataset(small_ds(seed=16, n=10), tmp_path / "ds")
-    fail_writes_after(2)
-    with pytest.raises(OSError):
-        save_dataset(small_ds(seed=17, n=3), root)
-    assert not (root / "manifest.json").exists()
-    monkeypatch.undo()
-    save_dataset(small_ds(seed=17, n=3), root)
+@pytest.mark.parametrize("sizes,failures", [((10, 3, 3), (2,)), ((3, 10, 5, 3), (20, 1))],
+                         ids=["one", "two-in-a-row"])
+def test_save_after_interrupted_ones_removes_the_blobs_they_left(tmp_path, fail_writes_after,
+                                                                monkeypatch, sizes, failures):
+    """``sizes``: scenes in the first save, in each interrupted save (the
+    matching ``failures`` entry is how many blob writes it completes),
+    and in the last save."""
+    first, *interrupted, last = sizes
+    root = save_dataset(small_ds(seed=16, n=first), tmp_path / "ds")
+    for n, writes in zip(interrupted, failures):
+        fail_writes_after(writes)
+        with pytest.raises(OSError):
+            save_dataset(small_ds(seed=n, n=n), root)
+        monkeypatch.undo()
+        assert not (root / "manifest.json").exists()
+    save_dataset(small_ds(seed=17, n=last), root)
     manifest = json.loads((root / "manifest.json").read_text())
     named = {entry["path"] for rec in manifest["samples"]
              for entry in (rec["label"], *rec["images"].values())}
     assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
-    assert len(load_dataset(root)) == 3
+    assert len(load_dataset(root)) == last
 
 
 def test_save_removes_no_file_an_unusable_old_manifest_names(tmp_path):

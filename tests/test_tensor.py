@@ -503,9 +503,16 @@ def test_grad_matches_data_shape_after_backward():
     assert x.grad.shape == x.data.shape
 
 
-def test_backward_stores_grad_on_leaves_only():
+def test_backward_stores_grad_on_leaves_only(monkeypatch):
     """Intermediate outputs get no ``grad``; leaf gradients equal a plain
     reverse sweep over the tape that accumulates in the same order."""
+    outputs = []
+
+    def make(out_data, inputs, backward_fn, _make=af.tensor._make):
+        out = _make(out_data, inputs, backward_fn)
+        outputs.append(out)
+        return out
+    monkeypatch.setattr(af.tensor, "_make", make)
     model = af.FusionModel(af.ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
                                           bottleneck=4, num_classes=3,
                                           dtype="float32", seed=5))
@@ -513,19 +520,43 @@ def test_backward_stores_grad_on_leaves_only():
     images = [rng.random((2, 1, 32, 32)) for _ in range(2)]
     loss = af.tsum(model.forward(images, train=True))
     nodes = list(af.active_tape()._nodes)
+    assert [out._node for out in outputs if out._node is not None] == nodes
 
-    grads = {id(loss): np.ones_like(loss.data)}
+    # node (or leaf tensor) -> gradient
+    grads = {loss._node: np.ones_like(loss.data)}
     for node in reversed(nodes):
-        g_out = grads.get(id(node.output))
+        g_out = grads.get(node)
         if g_out is None:
             continue
         for x, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is not None and x.requires_grad:
-                grads[id(x)] = grads[id(x)] + g if id(x) in grads else g
+                key = x._node or x
+                grads[key] = grads[key] + g if key in grads else g
 
     af.backward(loss)
-    assert all(node.output.grad is None for node in nodes)
+    assert all(out.grad is None for out in outputs if out._node is not None)
     leaves = [p for _, p in model.trainable_parameters()]
     assert all(p.grad is not None for p in leaves)
     for p in leaves:
-        assert p.grad.tobytes() == grads[id(p)].tobytes()
+        assert p.grad.tobytes() == grads[p].tobytes()
+
+
+def test_backward_refuses_a_cleared_graph():
+    x = t([1.0, 2.0], rg=True)
+    loss = af.tsum(x * x)
+    af.active_tape().clear()
+    with pytest.raises(RuntimeError, match="cleared, or recorded in another thread"):
+        af.backward(loss)
+    assert x.grad is None
+
+
+def test_backward_refuses_a_graph_recorded_in_another_thread():
+    x = t([1.0, 2.0], rg=True)
+    made = []
+    worker = threading.Thread(target=lambda: made.append(af.tsum(x * x)))
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive() and len(af.active_tape()) == 0
+    with pytest.raises(RuntimeError, match="cleared, or recorded in another thread"):
+        af.backward(made[0])
+    assert x.grad is None

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -296,6 +297,57 @@ def test_step_graph_is_freed_without_the_cycle_collector():
         gc.garbage.clear()
         gc.enable()
     assert leaked == 0
+
+
+def test_clearing_one_threads_tape_leaves_another_threads_graph():
+    model = tiny_model(seed=7)
+    images, labels = stack_batch(tiny_dataset(n=2, seed=7).samples, model.config.modalities)
+    built, cleared = threading.Event(), threading.Event()
+    has_grad = []
+
+    def worker():
+        loss = cross_entropy(model.logits_at(images, 32, 32, train=True), labels)
+        built.set()
+        assert cleared.wait(timeout=30)
+        af.backward(loss)
+        has_grad.extend(p.grad is not None for _, p in model.trainable_parameters())
+
+    t = threading.Thread(target=worker)
+    t.start()
+    try:
+        assert built.wait(timeout=60)
+        af.active_tape().clear()
+    finally:
+        cleared.set()
+        t.join(timeout=60)
+    assert not t.is_alive()
+    assert len(has_grad) == len(model.trainable_parameters()) and all(has_grad)
+
+
+def test_fits_in_two_threads_equal_the_same_fits_in_sequence():
+    ds = tiny_dataset(n=4, seed=8)
+    cfg = TrainConfig(epochs=2, batch_size=2, warmup_epochs=1, seed=8)
+
+    def trained(seed):
+        model = tiny_model(seed=seed)
+        fit(model, ds, cfg)
+        return b"".join(p.data.tobytes() for _, p in model.named_parameters())
+
+    sequential = [trained(1), trained(2)]
+    concurrent = [None, None]
+    start = threading.Barrier(2, timeout=60)
+
+    def run(i):
+        start.wait()
+        concurrent[i] = trained(i + 1)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(2)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=300)
+    assert not any(t.is_alive() for t in threads)
+    assert concurrent == sequential
 
 
 def test_fit_rejects_empty_dataset():
