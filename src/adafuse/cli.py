@@ -49,6 +49,9 @@ def _load_config_file(path: str | None) -> dict:
     unknown = set(data) - {"model", "train"}
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+    for name, section in data.items():
+        if not isinstance(section, dict):
+            raise ConfigError(f"config section {name!r} must be a JSON object")
     return data
 
 
@@ -150,18 +153,24 @@ def _resolve_train_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
         kv.update((k, v) for k, v in vars(args).items()
                   if v is not None and k in cls.__dataclass_fields__)
 
-    names = tuple(model_kv.get("modalities", dataset.modality_names))
+    try:
+        names = tuple(model_kv.get("modalities", dataset.modality_names))
+        model_kv.update(modalities=names, channels=_dataset_channels(dataset, names),
+                        num_classes=dataset.num_classes)
+        return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
+
+
+def _dataset_channels(dataset, names) -> tuple[int, ...]:
+    """The dataset's channel count for each modality in ``names``; a
+    modality the dataset lacks is a config error."""
     channel_of = dict(dataset.modalities)
     missing = [n for n in names if n not in channel_of]
     if missing:
         raise ConfigError(f"modalities {missing} not present in the dataset "
                           f"(has {dataset.modality_names})")
-    model_kv.update(modalities=names, channels=tuple(channel_of[n] for n in names),
-                    num_classes=dataset.num_classes)
-    try:
-        return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    return tuple(channel_of[n] for n in names)
 
 
 def cmd_train(args) -> int:
@@ -202,6 +211,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
+    _dataset_channels(dataset, model.config.modalities)
     metrics = evaluate(model, dataset)
     text, csv = format_metrics(metrics)
     print(csv.strip())

@@ -20,7 +20,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -135,46 +135,36 @@ def generate_synthetic(num_samples: int, height: int, width: int,
 # ---------------------------------------------------------------------
 
 def write_store(directory, kind: str, fields: dict,
-                blobs: Iterable[tuple[str, np.ndarray]]) -> Path:
+                blobs: Sequence[tuple[str, np.ndarray]]) -> Path:
     """Write a manifest+blob directory; datasets and checkpoints share it.
 
     ``blobs`` are (path relative to the directory, array in its on-disk
-    dtype) pairs that ``fields`` refers to. The existing manifest is moved
-    aside to ``manifest.json.old`` and the new one is written to
-    ``manifest.json.tmp`` before any blob, then moved into place after
-    every blob is written, so a save interrupted partway leaves no
-    manifest, never one that mixes two saves. Before either file is
-    overwritten, the blobs only it names are deleted, so interrupted saves
-    in a row orphan nothing. After the new manifest is in place, the blobs
-    that ``manifest.json.old`` named and the new one does not are deleted,
-    and ``manifest.json.old`` last, so a save cut short while deleting
-    leaves it for the next save; other files are left alone.
+    dtype) pairs that ``fields`` refers to. The old manifest replaces the
+    pending list ``manifest.json.tmp`` once the blobs only that list
+    names are deleted; then the pending blobs this save does not write
+    are deleted, and the new manifest is written there before any blob
+    and moved into place after the last. Every blob is named by one of
+    the two files at every step, so an interrupted save leaves no
+    manifest, never a mix of two saves, and the next save deletes what
+    it left. A legacy ``manifest.json.old`` counts as pending and is
+    deleted; other files are left alone.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    final, old, tmp = (out / (MANIFEST + ext) for ext in ("", ".old", ".tmp"))
+    final, tmp, legacy = (out / (MANIFEST + ext) for ext in ("", ".tmp", ".old"))
+    pending = _named_blobs(tmp) | _named_blobs(legacy)
     if final.exists():
-        _drop_manifest(old, others=(final, tmp))
-        os.replace(final, old)
-    _drop_manifest(tmp, others=(final, old))
-    stale = _named_blobs(old)
+        _unlink_blobs(out, pending - _named_blobs(final))
+        os.replace(final, tmp)
+        pending = _named_blobs(tmp)
+    _unlink_blobs(out, pending - {Path(path) for path, _ in blobs})
     manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
     tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
+    legacy.unlink(missing_ok=True)
     for path, array in blobs:
         (out / path).write_bytes(array.tobytes())
-        stale.discard(Path(path))
     os.replace(tmp, final)
-    _unlink_blobs(out, stale)
-    old.unlink(missing_ok=True)
     return out
-
-
-def _drop_manifest(manifest: Path, others: Sequence[Path]) -> None:
-    """Delete the blobs ``manifest`` names and none of ``others`` does,
-    then ``manifest`` itself."""
-    kept = set().union(*map(_named_blobs, others))
-    _unlink_blobs(manifest.parent, _named_blobs(manifest) - kept)
-    manifest.unlink(missing_ok=True)
 
 
 def _unlink_blobs(root: Path, paths: set[Path]) -> None:

@@ -18,7 +18,8 @@ _DTYPES = {"float32": np.float32, "float64": np.float64}
 
 class ConfigCodec:
     """The dict form of a config dataclass. ``from_dict`` refuses keys
-    that are not fields, naming the config's ``section`` in the error."""
+    that are not fields and values whose JSON type differs from the
+    field default's, naming the config's ``section`` in the error."""
 
     section = ""
 
@@ -27,10 +28,27 @@ class ConfigCodec:
 
     @classmethod
     def from_dict(cls, data: dict):
-        unknown = set(data) - set(cls.__dataclass_fields__)
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ValueError(f"unknown {cls.section} config keys: {sorted(unknown)}")
+        for key, value in data.items():
+            if not _json_typed_like(value, fields[key].default):
+                raise ValueError(f"{cls.section} config key {key!r} holds {value!r}, "
+                                 f"not of the type of its default {fields[key].default!r}")
         return cls(**data)
+
+
+def _json_typed_like(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: bool; int, not
+    bool; float, or an int; str; for a tuple, a list (or tuple) of its
+    first element's type."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple))
+                and all(_json_typed_like(v, default[0]) for v in value))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 @dataclass

@@ -249,3 +249,35 @@ def test_seed_flag_sets_both_configs_over_the_file(tmp_path):
     config = {"model": {"seed": 3}, "train": {"seed": 5, "epochs": 4, "warmup_epochs": 1}}
     model_cfg, train_cfg = resolve(tmp_path, "--seed", "11", config=config)
     assert (model_cfg.seed, train_cfg.seed, train_cfg.epochs) == (11, 11, 4)
+
+
+def test_eval_refuses_a_dataset_without_the_checkpoint_modalities(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)                       # a vis+ir checkpoint
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 3, seed=1), tmp_path / "m3")
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(data_dir)])
+    assert code == 2
+    assert "modalities ['vis', 'ir'] not present in the dataset" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config", [{"model": 5}, {"model": {"bottleneck": "x"}},
+                                    {"train": {"epochs": 1.5, "warmup_epochs": 0}}],
+                         ids=["section", "model-value", "train-value"])
+def test_config_file_value_of_the_wrong_type_is_a_config_error(tmp_path, capsys, config):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    code = run(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_config_value_of_the_wrong_type_is_io_error(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)
+    path = dirs["checkpoint"] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"]["bottleneck"] = "x"
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
+    assert code == 3
+    assert "malformed manifest" in capsys.readouterr().err

@@ -1,5 +1,6 @@
 """Synthetic scene generation, disk format, iteration."""
 
+import itertools
 import json
 
 import numpy as np
@@ -204,6 +205,71 @@ def test_save_removes_no_file_an_unusable_old_manifest_names(tmp_path):
     save_dataset(small_ds(seed=18, n=1), root)
     assert outside.exists() and (root / "sub").is_dir() and (root / "old.bin").exists()
     assert len(load_dataset(root)) == 1
+
+
+def contents(ds):
+    """What ``load_dataset`` gives back, in a form ``==`` compares."""
+    return (ds.seed, ds.modalities, [(s.label.tobytes(), *(img.tobytes() for img in
+                                                          s.images.values()))
+                                     for s in ds.samples])
+
+
+@pytest.mark.parametrize("old,new", [(10, 3), (3, 10)], ids=["shrink", "grow"])
+@pytest.mark.parametrize("prior", ["fresh", "after-an-interrupted-save", "legacy-old"])
+def test_a_save_cut_at_any_change_leaves_one_whole_save_or_none(tmp_path, fail_writes_after,
+                                                               monkeypatch, old, new, prior):
+    """For every n, the n-th filesystem change of an ``old`` -> ``new``
+    save fails. Before it, ``after-an-interrupted-save`` cuts a 5-scene
+    save at its 11th change and ``legacy-old`` leaves the old manifest
+    moved to ``manifest.json.old``, as older writers did mid-save. The
+    directory then has no manifest or loads as exactly one of the two
+    saves, and a complete save after it leaves only its own blobs, its
+    manifest and a foreign file."""
+    datasets = {n: small_ds(seed=n, n=n) for n in (old, new, 5, 1)}
+    for n in itertools.count():
+        root = save_dataset(datasets[old], tmp_path / f"ds{n}")
+        (root / "notes.txt").write_text("not a blob")
+        if prior == "after-an-interrupted-save":
+            fail_writes_after(10, every_mutation=True)
+            with pytest.raises(OSError):
+                save_dataset(datasets[5], root)
+            monkeypatch.undo()
+        elif prior == "legacy-old":
+            (root / "manifest.json").rename(root / "manifest.json.old")
+        fail_writes_after(n, every_mutation=True)
+        try:
+            save_dataset(datasets[new], root)
+            break                      # the save makes fewer than n + 1 changes
+        except OSError:
+            pass
+        finally:
+            monkeypatch.undo()
+        if (root / "manifest.json").exists():
+            assert contents(load_dataset(root)) in (contents(datasets[old]),
+                                                    contents(datasets[new]))
+        save_dataset(datasets[1], root)
+        manifest = json.loads((root / "manifest.json").read_text())
+        named = {entry["path"] for rec in manifest["samples"]
+                 for entry in (rec["label"], *rec["images"].values())}
+        assert {p.name for p in root.iterdir()} == named | {"manifest.json", "notes.txt"}
+    assert n > 3 * min(old, new)
+
+
+@pytest.mark.parametrize("kept", [0, 3], ids=["old-only", "old-and-manifest"])
+def test_save_deletes_the_blobs_a_legacy_old_manifest_names(tmp_path, kept):
+    """Older writers moved the manifest aside to ``manifest.json.old``
+    during a save and deleted the blobs only it named after the new
+    manifest was in place; a save cut short between leaves those blobs.
+    ``kept``: scenes of a ``manifest.json`` written beside it (0: none)."""
+    root = save_dataset(small_ds(seed=16, n=10), tmp_path / "ds")
+    (root / "manifest.json").rename(root / "manifest.json.old")
+    if kept:
+        manifest = json.loads((root / "manifest.json.old").read_text())
+        manifest["samples"] = manifest["samples"][:kept]
+        (root / "manifest.json").write_text(json.dumps(manifest))
+    save_dataset(small_ds(seed=17, n=3), root)
+    assert len(list(root.iterdir())) == 10
+    assert len(load_dataset(root)) == 3
 
 
 def test_out_of_range_labels_rejected(tmp_path):

@@ -20,6 +20,19 @@ def test_config_validation():
         ModelConfig.from_dict({"preset": "tiny", "nonsense": 1})
 
 
+@pytest.mark.parametrize("key,value", [("use_ffm", 1), ("bottleneck", True), ("bottleneck", 2.0),
+                                       ("drop_path_rate", "0.1"), ("dtype", 32),
+                                       ("active_stages", 3), ("active_stages", [3, 4.0])])
+def test_from_dict_refuses_a_value_of_another_json_type(key, value):
+    with pytest.raises(ValueError, match=f"model config key '{key}'"):
+        ModelConfig.from_dict({key: value})
+
+
+def test_from_dict_takes_an_int_for_a_float_and_a_list_for_a_tuple():
+    cfg = ModelConfig.from_dict({"drop_path_rate": 0, "active_stages": [3, 4]})
+    assert (cfg.drop_path_rate, cfg.active_stages) == (0, (3, 4))
+
+
 def test_decoder_dim_defaults_per_preset():
     assert ModelConfig(preset="tiny").decoder_dim == 64
     assert ModelConfig(preset="b2-like").decoder_dim == 256
