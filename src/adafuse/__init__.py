@@ -2,9 +2,9 @@
 encoders together with cross-modal bottleneck adapters."""
 
 from .tensor import (Tensor, Tape, ShapeError, active_tape, backward, no_grad,
-                     add, sub, mul, matmul, gelu, softmax, log_softmax,
-                     layer_norm, dropout, drop_path, tsum, tmean, reshape,
-                     transpose, concat, texp, tlog, extract_patches,
+                     add, sub, mul, matmul, attention, gelu, softmax,
+                     log_softmax, layer_norm, dropout, drop_path, tsum, tmean,
+                     reshape, transpose, concat, texp, tlog, extract_patches,
                      upsample_bilinear)
 from .gradcheck import grad_check, grad_check_params, relative_error
 from .encoder import Encoder, EncoderConfig, TransformerBlock, tokens_to_map, map_to_tokens

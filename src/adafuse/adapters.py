@@ -78,10 +78,10 @@ class CrossModalAdapter(Module):
     def __call__(self, x: Tensor, *, rng: Optional[np.random.Generator] = None) -> Tensor:
         if x.shape[-1] != self.dim:
             raise ShapeError(f"adapter built for dim {self.dim}, got {x.shape}")
-        down = matmul(x, self.w_down) + self.b_down
-        mid = gelu(matmul(down, self.w_mid) + self.b_mid)
+        down = matmul(x, self.w_down, self.b_down)
+        mid = gelu(matmul(down, self.w_mid, self.b_mid))
         mid = dropout(mid, self.dropout_rate, rng=rng)
-        return matmul(mid, self.w_up) + self.b_up
+        return matmul(mid, self.w_up, self.b_up)
 
     def copy_weights_from(self, other: "CrossModalAdapter") -> None:
         for mine, theirs in zip(self.parameters(), other.parameters()):

@@ -154,7 +154,8 @@ def _resolve_train_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
                   if v is not None and k in cls.__dataclass_fields__)
 
     try:
-        names = tuple(model_kv.get("modalities", dataset.modality_names))
+        names = model_kv.get("modalities", dataset.modality_names)
+        ModelConfig.check_type("modalities", names)
         model_kv.update(modalities=names, channels=_dataset_channels(dataset, names),
                         num_classes=dataset.num_classes)
         return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
@@ -173,11 +174,23 @@ def _dataset_channels(dataset, names) -> tuple[int, ...]:
     return tuple(channel_of[n] for n in names)
 
 
+def _check_eval_dataset(dataset, config: ModelConfig) -> None:
+    """Refuse a dataset that lacks one of the model's modalities or has
+    another class count."""
+    _dataset_channels(dataset, config.modalities)
+    if dataset.num_classes != config.num_classes:
+        raise ConfigError(f"dataset has {dataset.num_classes} classes, the model "
+                          f"predicts {config.num_classes}")
+
+
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
     if len(dataset) == 0:
         raise ConfigError(f"dataset {args.data!r} holds no samples")
     model_cfg, train_cfg = _resolve_train_configs(args, dataset)
+    eval_set = load_dataset(args.eval_data) if args.eval_data else None
+    if eval_set is not None:
+        _check_eval_dataset(eval_set, model_cfg)
     model = FusionModel(model_cfg)
 
     out = Path(args.out)
@@ -199,8 +212,8 @@ def cmd_train(args) -> int:
     save_checkpoint(model, out / "checkpoint")
     print(f"checkpoint written to {out / 'checkpoint'}")
 
-    if args.eval_data:
-        metrics = evaluate(model, load_dataset(args.eval_data))
+    if eval_set is not None:
+        metrics = evaluate(model, eval_set)
         text, csv = format_metrics(metrics)
         (out / "metrics.json").write_text(text, encoding="utf-8")
         (out / "per_class.csv").write_text(csv, encoding="utf-8")
@@ -211,7 +224,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _dataset_channels(dataset, model.config.modalities)
+    _check_eval_dataset(dataset, model.config)
     metrics = evaluate(model, dataset)
     text, csv = format_metrics(metrics)
     print(csv.strip())

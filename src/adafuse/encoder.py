@@ -15,8 +15,8 @@ from typing import Iterator, Optional
 import numpy as np
 
 from .initializers import Module, derive_rng, ones, trunc_normal, zeros
-from .tensor import (Tensor, ShapeError, drop_path, extract_patches, gelu,
-                     layer_norm, matmul, reshape, softmax, transpose)
+from .tensor import (Tensor, ShapeError, attention, drop_path, extract_patches,
+                     gelu, layer_norm, matmul, reshape, transpose)
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ class PatchEmbed(Module):
             raise ShapeError(
                 f"spatial dims {h}x{w} not divisible by patch stride {self.stride}")
         patches = extract_patches(x, self.kernel, self.stride, self.pad)
-        tokens = matmul(patches, self.weight) + self.bias
+        tokens = matmul(patches, self.weight, self.bias)
         tokens = layer_norm(tokens, self.norm_gamma, self.norm_beta)
         return tokens, (h // self.stride, w // self.stride)
 
@@ -104,7 +104,6 @@ class Attention(Module):
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
         self.dim = dim
         self.heads = heads
-        self.head_dim = dim // heads
         self.sr_ratio = sr_ratio
         def lin(n_in, n_out):
             # biases random too: with zero biases, layer norm cancels the
@@ -120,36 +119,24 @@ class Attention(Module):
             self.sr_gamma = ones(dim, dtype=dtype)
             self.sr_beta = zeros(dim, dtype=dtype)
 
-    def _split_heads(self, x: Tensor) -> Tensor:
-        b, n, _ = x.shape
-        return transpose(reshape(x, (b, n, self.heads, self.head_dim)), (0, 2, 1, 3))
-
     def __call__(self, x: Tensor, h: int, w: int) -> Tensor:
-        b, n, d = x.shape
+        d = x.shape[-1]
         if d != self.dim:
             raise ShapeError(f"attention built for dim {self.dim}, got {d}")
-        q = matmul(x, self.wq) + self.bq
+        q = matmul(x, self.wq, self.bq)
         if self.sr_ratio > 1:
             if h % self.sr_ratio or w % self.sr_ratio:
                 raise ShapeError(
                     f"token grid {h}x{w} not divisible by sr_ratio {self.sr_ratio}")
             grid = tokens_to_map(x, h, w)
             pooled = extract_patches(grid, self.sr_ratio, self.sr_ratio, 0)
-            kv_src = matmul(pooled, self.w_sr) + self.b_sr
+            kv_src = matmul(pooled, self.w_sr, self.b_sr)
             kv_src = layer_norm(kv_src, self.sr_gamma, self.sr_beta)
         else:
             kv_src = x
-        k = matmul(kv_src, self.wk) + self.bk
-        v = matmul(kv_src, self.wv) + self.bv
-
-        qh = self._split_heads(q)                       # [B, heads, N, hd]
-        kh = self._split_heads(k)
-        vh = self._split_heads(v)
-        scores = matmul(qh, transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(self.head_dim))
-        attn = softmax(scores)
-        ctx = matmul(attn, vh)                          # [B, heads, N, hd]
-        ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b, n, d))
-        return matmul(ctx, self.wo) + self.bo
+        k = matmul(kv_src, self.wk, self.bk)
+        v = matmul(kv_src, self.wv, self.bv)
+        return matmul(attention(q, k, v, self.heads), self.wo, self.bo)
 
 
 class Mlp(Module):
@@ -160,7 +147,7 @@ class Mlp(Module):
         self.b2 = trunc_normal(dim, rng, dtype=dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return matmul(gelu(matmul(x, self.w1) + self.b1), self.w2) + self.b2
+        return matmul(gelu(matmul(x, self.w1, self.b1)), self.w2, self.b2)
 
 
 class TransformerBlock(Module):

@@ -45,8 +45,8 @@ class StageFusion(Module):
         self.b2.data -= _GELU_AT_3 / _GELU_SLOPE_AT_3
 
     def __call__(self, stacked_tokens: Tensor) -> Tensor:
-        hidden = gelu(matmul(stacked_tokens, self.w1) + self.b1)
-        return matmul(hidden, self.w2) + self.b2
+        hidden = gelu(matmul(stacked_tokens, self.w1, self.b1))
+        return matmul(hidden, self.w2, self.b2)
 
 
 class FeatureFusion:
@@ -105,14 +105,14 @@ class Decoder:
         out_h, out_w = pyramid[0].shape[-2], pyramid[0].shape[-1]
         lifted = []
         for feat, w, b in zip(pyramid, self.stage_w, self.stage_b):
-            tokens = matmul(map_to_tokens(feat), w) + b
+            tokens = matmul(map_to_tokens(feat), w, b)
             grid = tokens_to_map(tokens, feat.shape[-2], feat.shape[-1])
             if grid.shape[-2:] != (out_h, out_w):
                 grid = upsample_bilinear(grid, out_h, out_w)
             lifted.append(grid)
         fused = concat(lifted, axis=1)
-        tokens = gelu(matmul(map_to_tokens(fused), self.fuse_w) + self.fuse_b)
-        logits = matmul(tokens, self.cls_w) + self.cls_b
+        tokens = gelu(matmul(map_to_tokens(fused), self.fuse_w, self.fuse_b))
+        logits = matmul(tokens, self.cls_w, self.cls_b)
         return tokens_to_map(logits, out_h, out_w)
 
     def named_parameters(self, prefix: str = "decoder") -> Iterator[tuple[str, Tensor]]:

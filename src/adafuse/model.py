@@ -33,10 +33,16 @@ class ConfigCodec:
         if unknown:
             raise ValueError(f"unknown {cls.section} config keys: {sorted(unknown)}")
         for key, value in data.items():
-            if not _json_typed_like(value, fields[key].default):
-                raise ValueError(f"{cls.section} config key {key!r} holds {value!r}, "
-                                 f"not of the type of its default {fields[key].default!r}")
+            cls.check_type(key, value)
         return cls(**data)
+
+    @classmethod
+    def check_type(cls, key: str, value) -> None:
+        """Raise ``ValueError`` if ``value`` is not of field ``key``'s JSON type."""
+        default = cls.__dataclass_fields__[key].default
+        if not _json_typed_like(value, default):
+            raise ValueError(f"{cls.section} config key {key!r} holds {value!r}, "
+                             f"not of the type of its default {default!r}")
 
 
 def _json_typed_like(value, default) -> bool:

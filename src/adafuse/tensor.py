@@ -1,7 +1,8 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Every numeric primitive the models need lives here: matmul, broadcast
-elementwise arithmetic, layer norm, softmax/log-softmax, GELU, dropout,
+Every numeric primitive the models need lives here: matmul (with an
+optional fused bias), multi-head attention, broadcast elementwise
+arithmetic, layer norm, softmax/log-softmax, GELU, dropout,
 drop-path, reductions, shape ops, overlapping patch extraction and
 bilinear upsampling. Executed primitives are recorded in execution
 order on the calling thread's :class:`Tape`; ``backward`` sweeps that
@@ -280,28 +281,100 @@ def tlog(x: Tensor) -> Tensor:
 # matmul
 # ---------------------------------------------------------------------
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with numpy stacking semantics on leading axes."""
+def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
+    """Matrix product with numpy stacking semantics on leading axes, plus
+    an optional ``bias`` broadcast onto the product (a linear layer in
+    one node).
+
+    With a 2-D ``b``, both gradients are one GEMM over all leading rows
+    of ``a``. The forward stays one GEMM per leading index: BLAS may
+    round a row differently as the row count changes, and a sample's
+    output must not depend on its batch mates, because ``fit`` caches
+    frozen features per sample."""
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul requires >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
     out = a.data @ b.data
+    k, e = b.shape[-2:]
+    inputs = (a, b)
+    if bias is not None:
+        try:
+            out += bias.data
+        except ValueError:
+            raise ShapeError(f"matmul bias {bias.shape} does not broadcast "
+                             f"to {out.shape}") from None
+        inputs = (a, b, bias)
     need_a, need_b = a.requires_grad, b.requires_grad
+    need_bias = bias is not None and bias.requires_grad
 
     def bwd(g):
         ga = gb = None
-        if need_a:
+        if need_a and b.ndim == 2:
+            ga = (g.reshape(-1, e) @ b.data.T).reshape(a.shape)
+        elif need_a:
             ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
         if need_b and b.ndim == 2:
-            # [..., k] @ [k, e]: one GEMM over all leading rows
-            k, e = b.shape
             gb = a.data.reshape(-1, k).T @ g.reshape(-1, e)
         elif need_b:
             gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        return ga, gb, _unbroadcast(g, bias.shape) if need_bias else None
 
-    return _make(out, (a, b), bwd)
+    return _make(out, inputs, bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention in one node.
+
+    ``q`` is [B, N, d] and ``k``, ``v`` are [B, M, d]. The channels split
+    into ``heads`` heads of d / heads; each head computes
+    softmax(q k^T / sqrt(d / heads)) v, and the heads merge back to
+    [B, N, d]. Forward and backward run the numpy ops of the composed
+    reshape, transpose, matmul, mul and softmax chain in its order, so
+    outputs and gradients are bit-identical to that chain.
+    """
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape
+            or k.shape[0] != q.shape[0] or k.shape[2] != q.shape[2]):
+        raise ShapeError(f"attention expects q [B, N, d] and k, v [B, M, d], "
+                         f"got {q.shape}, {k.shape} and {v.shape}")
+    b, n, d = q.shape
+    if d % heads:
+        raise ShapeError(f"attention: dim {d} not divisible by {heads} heads")
+    hd = d // heads
+
+    def split(x):                               # [B, L, d] -> [B, heads, L, hd]
+        return x.data.reshape(x.shape[0], x.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    qh, kh, vh = split(q), split(k), split(v)
+    kt = kh.transpose(0, 1, 3, 2)
+    scale = np.asarray(1.0 / np.sqrt(hd), dtype=q.dtype)
+    scores = (qh @ kt) * scale
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    attn = e / e.sum(axis=-1, keepdims=True)
+    out = (attn @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
+    need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+
+    def merge(gh, shape):                       # [B, heads, L, hd] -> [B, L, d]
+        return gh.transpose(0, 2, 1, 3).reshape(shape)
+
+    def bwd(g):
+        gctx = g.reshape(b, n, heads, hd).transpose(0, 2, 1, 3)
+        gq = gk = gv = None
+        if need_q or need_k:
+            gattn = gctx @ np.swapaxes(vh, -1, -2)
+            dot = (gattn * attn).sum(axis=-1, keepdims=True)
+            gscores = attn * (gattn - dot) * scale
+            if need_q:
+                gq = merge(gscores @ np.swapaxes(kt, -1, -2), q.shape)
+            if need_k:
+                gk = merge((np.swapaxes(qh, -1, -2) @ gscores).transpose(0, 1, 3, 2), k.shape)
+        if need_v:
+            gv = merge(np.swapaxes(attn, -1, -2) @ gctx, v.shape)
+        return gq, gk, gv
+
+    return _make(out, (q, k, v), bwd)
 
 
 # ---------------------------------------------------------------------

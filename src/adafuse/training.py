@@ -93,7 +93,10 @@ def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay."""
+    """Adaptive moments with decoupled weight decay.
+
+    ``step`` updates parameters and moments in place, through two
+    scratch buffers per dtype the size of the largest parameter."""
 
     def __init__(self, params: Sequence[Tensor], lr: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8, weight_decay: float = 0.01):
@@ -105,25 +108,34 @@ class AdamW:
         self.t = 0
         self._m = [np.zeros_like(p.data) for p in self.params]
         self._v = [np.zeros_like(p.data) for p in self.params]
+        sizes: dict[np.dtype, int] = {}
+        for p in self.params:
+            sizes[p.dtype] = max(sizes.get(p.dtype, 0), p.size)
+        self._scratch = {dt: (np.empty(n, dt), np.empty(n, dt)) for dt, n in sizes.items()}
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
 
     def step(self) -> None:
+        """p -= lr*wd*p; m = b1*m + (1-b1)*g; v = b2*v + (1-b2)*g*g;
+        p -= lr*(m/bc1) / (sqrt(v/bc2) + eps), op for op in that order."""
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self._m, self._v):
             if p.grad is None:
                 continue
-            g = p.grad
-            p.data -= self.lr * self.weight_decay * p.data
+            g, x = p.grad, p.data
+            a, b = (buf[:x.size].reshape(x.shape) for buf in self._scratch[x.dtype])
+            x -= np.multiply(x, self.lr * self.weight_decay, out=a)
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(g, 1.0 - self.beta1, out=a)
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += np.multiply(np.multiply(g, g, out=a), 1.0 - self.beta2, out=a)
+            np.multiply(np.divide(m, bc1, out=a), self.lr, out=a)
+            np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), self.eps, out=b)
+            x -= np.divide(a, b, out=a)
 
 
 def train_step(model: FusionModel, images: dict, labels: np.ndarray,

@@ -15,9 +15,9 @@ from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
 from .encoder import Encoder, EncoderConfig, TransformerBlock
 from .gradcheck import grad_check_params
 from .model import FusionModel, ModelConfig
-from .tensor import (Tensor, concat, drop_path, dropout, extract_patches,
-                     gelu, layer_norm, log_softmax, matmul, softmax, texp,
-                     tlog, tmean, tsum, upsample_bilinear)
+from .tensor import (Tensor, attention, concat, drop_path, dropout,
+                     extract_patches, gelu, layer_norm, log_softmax, matmul,
+                     softmax, texp, tlog, tmean, tsum, upsample_bilinear)
 from .training import cross_entropy
 
 
@@ -85,6 +85,13 @@ def primitive_checks(seed: int) -> dict[str, float]:
     labels[0, 0, 0] = 255
     errs["cross_entropy"] = grad_check_params(
         lambda: cross_entropy(flat, labels), [flat])
+
+    x3, w3, b3 = _t(rng, 2, 3, 4), _t(rng, 4, 2), _t(rng, 2)
+    errs["matmul_bias"] = grad_check_params(
+        lambda: tsum(matmul(x3, w3, b3) * matmul(x3, w3, b3)), [x3, w3, b3])
+    q, k, kv = _t(rng, 2, 3, 4), _t(rng, 2, 2, 4), _t(rng, 2, 2, 4)
+    errs["attention"] = grad_check_params(
+        lambda: tsum(attention(q, k, kv, 2) * attention(q, k, kv, 2)), [q, k, kv])
     return errs
 
 

@@ -281,3 +281,34 @@ def test_eval_checkpoint_config_value_of_the_wrong_type_is_io_error(tmp_path, ca
     code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
     assert code == 3
     assert "malformed manifest" in capsys.readouterr().err
+
+
+def test_eval_refuses_a_dataset_with_another_class_count(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)                       # a 5-class checkpoint
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 7, 2, seed=1), tmp_path / "k7")
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(data_dir)])
+    assert code == 2
+    assert "dataset has 7 classes, the model predicts 5" in capsys.readouterr().err
+
+
+def test_train_refuses_an_eval_dataset_with_another_class_count_before_training(
+        tmp_path, capsys):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), tmp_path / "k5")
+    eval_dir = save_dataset(generate_synthetic(2, 32, 32, 7, 2, seed=2), tmp_path / "k7")
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                "--warmup-epochs", "0", "--batch-size", "2", "--eval-data", str(eval_dir)])
+    assert code == 2
+    assert "dataset has 7 classes, the model predicts 5" in capsys.readouterr().err
+    assert not (out / "checkpoint").exists()
+
+
+def test_config_file_string_for_a_tuple_field_is_a_type_error(tmp_path, capsys):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"model": {"modalities": "vis"}}))
+    code = run(["train", "--data", str(data_dir), "--out", str(tmp_path / "r"),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert "config key 'modalities' holds 'vis', not of the type of its default" in \
+        capsys.readouterr().err

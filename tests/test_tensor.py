@@ -488,6 +488,102 @@ def test_weight_gradient_matches_batched_reference():
     assert np.max(np.abs(gw - reference)) < 1e-12
 
 
+def test_input_gradient_matches_stacked_reference():
+    rng = np.random.default_rng(23)
+    x = t(rng.normal(size=(3, 7, 6)), rg=True)
+    w = t(rng.normal(size=(6, 4)))
+    g = rng.normal(size=(3, 7, 4))
+    out = af.matmul(x, w)
+    assert np.array_equal(out.data, x.data @ w.data)
+    gx, _ = rule(out, g)
+    assert gx.shape == x.shape
+    assert np.max(np.abs(gx - g @ w.data.T)) < 1e-12
+
+
+# ---------------------------------------------------------------------
+# fused nodes: bit-identical to the chains they replace
+# ---------------------------------------------------------------------
+
+def leaf_grads(out, leaves, rng):
+    """Back-propagate sum(out * G) for a fixed random G; the leaves' grads."""
+    for leaf in leaves:
+        leaf.grad = None
+    upstream = af.Tensor(rng.normal(size=out.shape).astype(out.dtype))
+    af.backward(af.tsum(out * upstream))
+    return [leaf.grad for leaf in leaves]
+
+
+def assert_same_bits(fused, chain, leaves, seed):
+    """Equal output bytes and equal gradient bytes for every leaf; no
+    gradient for a leaf that does not require one."""
+    assert fused.dtype == chain.dtype and fused.data.tobytes() == chain.data.tobytes()
+    grads_fused = leaf_grads(fused, leaves, np.random.default_rng(seed))
+    grads_chain = leaf_grads(chain, leaves, np.random.default_rng(seed))
+    for leaf, gf, gc in zip(leaves, grads_fused, grads_chain):
+        if not leaf.requires_grad:
+            assert gf is None and gc is None
+        else:
+            assert gf.dtype == leaf.dtype and gf.tobytes() == gc.tobytes()
+    frozen = [not leaf.requires_grad for leaf in leaves]
+    rule_grads = rule(fused)
+    assert [g is None for g in rule_grads] == frozen
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("frozen", ["none", "x", "w", "b", "w,b"])
+def test_biased_matmul_is_bitwise_matmul_then_add(dtype, frozen):
+    rng = np.random.default_rng(30)
+    x = af.Tensor(rng.normal(size=(3, 5, 6)).astype(dtype), requires_grad="x" not in frozen)
+    w = af.Tensor(rng.normal(size=(6, 4)).astype(dtype), requires_grad="w" not in frozen)
+    b = af.Tensor(rng.normal(size=4).astype(dtype), requires_grad="b" not in frozen)
+    assert_same_bits(af.matmul(x, w, b), af.matmul(x, w) + b, [x, w, b], seed=31)
+
+
+def test_biased_matmul_rejects_a_bias_that_does_not_broadcast():
+    with pytest.raises(ShapeError, match="bias"):
+        af.matmul(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones(3)))
+    with pytest.raises(ShapeError, match="bias"):
+        af.matmul(t(np.ones((2, 3))), t(np.ones((3, 4))), t(np.ones((5, 2, 4))))
+
+
+def attention_chain(q, k, v, heads):
+    """The composed multi-head attention chain that ``attention`` replaces."""
+    b, n, d = q.shape
+    hd = d // heads
+
+    def split(x):
+        return af.transpose(af.reshape(x, (x.shape[0], x.shape[1], heads, hd)), (0, 2, 1, 3))
+
+    qh, kh, vh = split(q), split(k), split(v)
+    scores = af.matmul(qh, af.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(hd))
+    ctx = af.matmul(af.softmax(scores), vh)
+    return af.reshape(af.transpose(ctx, (0, 2, 1, 3)), (b, n, d))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("heads", [1, 2, 5])
+@pytest.mark.parametrize("n,m", [(6, 6), (8, 2)], ids=["self", "reduced-kv"])
+@pytest.mark.parametrize("frozen", ["none", "q", "k", "v", "k,v"])
+def test_attention_is_bitwise_the_composed_chain(dtype, heads, n, m, frozen):
+    rng = np.random.default_rng(40 + heads)
+    d = 2 * 5                                   # divisible by every head count
+    q, k, v = (af.Tensor(rng.normal(size=(2, length, d)).astype(dtype),
+                         requires_grad=name not in frozen)
+               for name, length in (("q", n), ("k", m), ("v", m)))
+    assert_same_bits(af.attention(q, k, v, heads), attention_chain(q, k, v, heads),
+                     [q, k, v], seed=41)
+
+
+def test_attention_rejects_mismatched_operands():
+    q = t(np.ones((2, 4, 6)))
+    with pytest.raises(ShapeError, match="attention"):
+        af.attention(q, t(np.ones((2, 3, 6))), t(np.ones((2, 2, 6))), 2)
+    with pytest.raises(ShapeError, match="attention"):
+        af.attention(q, t(np.ones((2, 3, 4))), t(np.ones((2, 3, 4))), 2)
+    with pytest.raises(ShapeError, match="heads"):
+        af.attention(q, q, q, 4)
+
+
 # ---------------------------------------------------------------------
 # tensor invariants
 # ---------------------------------------------------------------------

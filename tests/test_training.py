@@ -219,6 +219,41 @@ def test_zero_lr_step_changes_nothing():
     assert before == after
 
 
+def test_adamw_step_is_bitwise_the_reference_formula():
+    """In-place updates through scratch buffers give the bits of the
+    out-of-place formula, for two dtypes, several shapes and a parameter
+    with no gradient in some steps."""
+    rng = np.random.default_rng(3)
+    shapes = [((40, 30), np.float32), ((30,), np.float32),
+              ((20, 4, 3), np.float64), ((60,), np.float64)]
+    params = [af.Tensor(rng.normal(size=s).astype(dt), requires_grad=True) for s, dt in shapes]
+    ref = [p.data.copy() for p in params]
+    ref_m = [np.zeros_like(r) for r in ref]
+    ref_v = [np.zeros_like(r) for r in ref]
+    opt = AdamW(params, lr=1e-2, weight_decay=0.05)
+    lr, b1, b2, eps, wd = 1e-2, opt.beta1, opt.beta2, opt.eps, opt.weight_decay
+    for t in range(1, 6):
+        lr = lr * 0.7
+        bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+        for i, p in enumerate(params):
+            if i == 1 and t % 2 == 0:
+                p.grad = None
+                continue
+            g = rng.normal(size=p.shape).astype(p.dtype)
+            p.grad = g
+            x, m, v = ref[i], ref_m[i], ref_v[i]
+            x -= lr * wd * x
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            x -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+        opt.lr = lr
+        opt.step()
+        for p, x in zip(params, ref):
+            assert p.data.dtype == x.dtype and p.data.tobytes() == x.tobytes()
+
+
 def test_encoders_frozen_through_training_steps():
     model = tiny_model(seed=2)
     ds = tiny_dataset(n=4, seed=2)
