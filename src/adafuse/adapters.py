@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -105,7 +105,7 @@ def routes_for(variant: Density, num_modalities: int) -> list[tuple[int, ...]]:
                    for j in range(num_modalities) if i != j})
 
 
-class AdapterBank:
+class AdapterBank(Module):
     """Routing table (stage, block, position, route) -> adapter.
 
     Positions: 1 = after-attention injection, 2 = after-MLP injection.
@@ -124,11 +124,10 @@ class AdapterBank:
     def __len__(self) -> int:
         return len(self.adapters)
 
-    def named_parameters(self, prefix: str = "adapters") -> Iterator[tuple[str, Tensor]]:
+    def children(self):
         for (stage, block, pos, route), adapter in sorted(self.adapters.items()):
             tag = "-".join(str(r) for r in route) if route else "all"
-            yield from adapter.named_parameters(
-                f"{prefix}.stage{stage}.block{block}.pos{pos}.route_{tag}")
+            yield f"stage{stage}.block{block}.pos{pos}.route_{tag}", adapter
 
 
 def build_adapter_bank(num_modalities: int, config: EncoderConfig,
@@ -224,10 +223,10 @@ def fused_encode(encoders: list[Encoder], images: list,
         tokens = []
         h = w = 0
         for i in range(m):
-            t, (h, w) = encoders[i].patch_embeds[s](current[i])
+            t, (h, w) = encoders[i].stages[s].patch(current[i])
             tokens.append(t)
         for b in range(config.depths[s]):
-            blocks = [enc.blocks[s][b] for enc in encoders]
+            blocks = [enc.stages[s].blocks[b] for enc in encoders]
             if stage_no in active:
                 tokens = fused_block_forward(tokens, blocks, h, w, bank,
                                              stage_no, b, rng=rng)

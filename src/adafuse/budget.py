@@ -41,7 +41,7 @@ def analytic_count(config: EncoderConfig, density: DensityConfig,
 
 def empirical_count(bank: AdapterBank) -> int:
     """Sum the element counts of a bank's parameter buffers."""
-    return sum(p.size for _, p in bank.named_parameters())
+    return sum(p.size for p in bank.parameters())
 
 
 def budget_report(preset: str, num_modalities: int, density, active_stages,

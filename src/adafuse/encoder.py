@@ -10,7 +10,7 @@ transformer blocks and a layer norm. ``Encoder.forward`` and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -175,42 +175,40 @@ class TransformerBlock(Module):
         return x + drop_path(self.mlp(self.norm2(x)), self.drop_path_rate, rng=rng)
 
 
-class Encoder:
+class EncoderStage(Module):
+    """One encoder stage: ``patch`` embedding, transformer ``blocks`` and
+    the closing layer norm (``norm_gamma``, ``norm_beta``)."""
+
+    numbered = {"blocks": ("block", 0)}
+
+
+class Encoder(Module):
     """Stack of patch-embed + transformer-block stages for one modality."""
+
+    numbered = {"stages": ("stage", 1)}
 
     def __init__(self, config: EncoderConfig, in_channels: int,
                  seed: int | tuple[int, ...], dtype=np.float64):
         self.config = config
-        self.patch_embeds: list[PatchEmbed] = []
-        self.blocks: list[list[TransformerBlock]] = []
-        self.norm_gammas: list[Tensor] = []
-        self.norm_betas: list[Tensor] = []
-
         path = (seed,) if isinstance(seed, int) else tuple(seed)
-        total_depth = sum(config.depths)
-        block_index = 0
-        ch = in_channels
-        for s in range(config.num_stages):
-            rng = derive_rng(*path, s)
-            self.patch_embeds.append(
-                PatchEmbed(ch, config.dims[s], config.strides[s], rng, dtype))
-            stage_blocks = []
-            for b in range(config.depths[s]):
-                if total_depth > 1 and config.drop_path_rate > 0:
-                    dp = config.drop_path_rate * block_index / (total_depth - 1)
-                else:
-                    dp = 0.0
-                stage_blocks.append(TransformerBlock(
-                    config.dims[s], config.heads[s], config.sr_ratios[s],
-                    config.mlp_ratio, dp, derive_rng(*path, s, b), dtype))
-                block_index += 1
-            self.blocks.append(stage_blocks)
-            self.norm_gammas.append(ones(config.dims[s], dtype=dtype))
-            self.norm_betas.append(zeros(config.dims[s], dtype=dtype))
-            ch = config.dims[s]
+        depth = sum(config.depths)
+        rates = [config.drop_path_rate * i / max(depth - 1, 1) for i in range(depth)]
+        channels = (in_channels,) + config.dims
+        self.stages: list[EncoderStage] = []
+        for s, dim in enumerate(config.dims):
+            first = sum(config.depths[:s])
+            self.stages.append(EncoderStage(
+                patch=PatchEmbed(channels[s], dim, config.strides[s],
+                                 derive_rng(*path, s), dtype),
+                blocks=[TransformerBlock(dim, config.heads[s], config.sr_ratios[s],
+                                         config.mlp_ratio, rates[first + b],
+                                         derive_rng(*path, s, b), dtype)
+                        for b in range(config.depths[s])],
+                norm_gamma=ones(dim, dtype=dtype), norm_beta=zeros(dim, dtype=dtype)))
 
     def stage_norm(self, stage: int, tokens: Tensor) -> Tensor:
-        return layer_norm(tokens, self.norm_gammas[stage], self.norm_betas[stage])
+        st = self.stages[stage]
+        return layer_norm(tokens, st.norm_gamma, st.norm_beta)
 
     def forward(self, x: Tensor, *,
                 rng: Optional[np.random.Generator] = None) -> list[Tensor]:
@@ -220,9 +218,9 @@ class Encoder:
             raise ShapeError(f"encoder expects [B, C, H, W], got {x.shape}")
         feats = []
         cur = x
-        for s in range(self.config.num_stages):
-            tokens, (h, w) = self.patch_embeds[s](cur)
-            for blk in self.blocks[s]:
+        for s, stage in enumerate(self.stages):
+            tokens, (h, w) = stage.patch(cur)
+            for blk in stage.blocks:
                 tokens = blk(tokens, h, w, rng=rng)
             tokens = self.stage_norm(s, tokens)
             cur = tokens_to_map(tokens, h, w)
@@ -230,17 +228,3 @@ class Encoder:
         return feats
 
     __call__ = forward
-
-    def named_parameters(self, prefix: str = "encoder") -> Iterator[tuple[str, Tensor]]:
-        for s in range(self.config.num_stages):
-            yield from self.patch_embeds[s].named_parameters(f"{prefix}.stage{s + 1}.patch")
-            for b, blk in enumerate(self.blocks[s]):
-                yield from blk.named_parameters(f"{prefix}.stage{s + 1}.block{b}")
-            yield f"{prefix}.stage{s + 1}.norm_gamma", self.norm_gammas[s]
-            yield f"{prefix}.stage{s + 1}.norm_beta", self.norm_betas[s]
-
-    def set_trainable(self, flag: bool) -> None:
-        """Frozen encoders keep requires_grad False so the optimizer and
-        backward both skip their buffers."""
-        for _, p in self.named_parameters():
-            p.requires_grad = flag

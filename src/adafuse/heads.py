@@ -9,7 +9,7 @@ upsamples to the finest stage's grid, concats, fuses and classifies.
 
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,17 +49,15 @@ class StageFusion(Module):
         return matmul(hidden, self.w2, self.b2)
 
 
-class FeatureFusion:
+class FeatureFusion(Module):
     """Trainable per-stage merge of the M modality pyramids."""
+
+    numbered = {"stages": ("stage", 1)}
 
     def __init__(self, num_modalities: int, config: EncoderConfig, seed: int,
                  dtype=np.float64):
         rng = np.random.default_rng([seed, 900])
         self.stages = [StageFusion(num_modalities, d, rng, dtype) for d in config.dims]
-
-    def named_parameters(self, prefix: str = "ffm") -> Iterator[tuple[str, Tensor]]:
-        for s, stage in enumerate(self.stages):
-            yield from stage.named_parameters(f"{prefix}.stage{s + 1}")
 
 
 def modal_merge(stage_feats: list[Tensor], ffm_stage: Optional[StageFusion] = None) -> Tensor:
@@ -82,15 +80,16 @@ def modal_merge(stage_feats: list[Tensor], ffm_stage: Optional[StageFusion] = No
     return tokens_to_map(ffm_stage(tokens), h, w)
 
 
-class Decoder:
+class Decoder(Module):
     """All-MLP decode head over a merged feature pyramid."""
+
+    numbered = {"stages": ("stage", 1)}
 
     def __init__(self, config: EncoderConfig, num_classes: int, decoder_dim: int,
                  seed: int, dtype=np.float64):
         rng = np.random.default_rng([seed, 901])
-        self.stage_w = [trunc_normal((d, decoder_dim), rng, dtype=dtype)
-                        for d in config.dims]
-        self.stage_b = [zeros(decoder_dim, dtype=dtype) for _ in config.dims]
+        self.stages = [Module(w=trunc_normal((d, decoder_dim), rng, dtype=dtype),
+                              b=zeros(decoder_dim, dtype=dtype)) for d in config.dims]
         self.fuse_w = trunc_normal((len(config.dims) * decoder_dim, decoder_dim),
                                    rng, dtype=dtype)
         self.fuse_b = zeros(decoder_dim, dtype=dtype)
@@ -99,13 +98,13 @@ class Decoder:
 
     def __call__(self, pyramid: list[Tensor]) -> Tensor:
         """Merged pyramid -> class logits at the finest stage's grid."""
-        if len(pyramid) != len(self.stage_w):
-            raise ShapeError(f"expected {len(self.stage_w)} pyramid stages, "
+        if len(pyramid) != len(self.stages):
+            raise ShapeError(f"expected {len(self.stages)} pyramid stages, "
                              f"got {len(pyramid)}")
         out_h, out_w = pyramid[0].shape[-2], pyramid[0].shape[-1]
         lifted = []
-        for feat, w, b in zip(pyramid, self.stage_w, self.stage_b):
-            tokens = matmul(map_to_tokens(feat), w, b)
+        for feat, stage in zip(pyramid, self.stages):
+            tokens = matmul(map_to_tokens(feat), stage.w, stage.b)
             grid = tokens_to_map(tokens, feat.shape[-2], feat.shape[-1])
             if grid.shape[-2:] != (out_h, out_w):
                 grid = upsample_bilinear(grid, out_h, out_w)
@@ -114,12 +113,3 @@ class Decoder:
         tokens = gelu(matmul(map_to_tokens(fused), self.fuse_w, self.fuse_b))
         logits = matmul(tokens, self.cls_w, self.cls_b)
         return tokens_to_map(logits, out_h, out_w)
-
-    def named_parameters(self, prefix: str = "decoder") -> Iterator[tuple[str, Tensor]]:
-        for s, (w, b) in enumerate(zip(self.stage_w, self.stage_b)):
-            yield f"{prefix}.stage{s + 1}.w", w
-            yield f"{prefix}.stage{s + 1}.b", b
-        yield f"{prefix}.fuse_w", self.fuse_w
-        yield f"{prefix}.fuse_b", self.fuse_b
-        yield f"{prefix}.cls_w", self.cls_w
-        yield f"{prefix}.cls_b", self.cls_b

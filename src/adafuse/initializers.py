@@ -39,20 +39,42 @@ def ones(shape, dtype=np.float64) -> Tensor:
 
 
 class Module:
-    """Parameter registry for a layer that holds its tensors as attributes.
-
-    ``named_parameters(prefix)`` yields every ``Tensor`` attribute as
-    ``prefix.attr`` and every ``Module`` attribute's parameters as
-    ``prefix.attr.name``, in ``__init__`` assignment order. Those names
-    are the checkpoint format.
+    """Parameter registry: ``named_parameters(prefix)`` yields each
+    ``Tensor`` child as ``prefix.name`` and recurses into each ``Module``
+    child, skipping other values. These attribute paths are the parameter
+    names and the checkpoint format. The children are the attributes in
+    assignment order, except that a list attribute named in ``numbered``
+    (``{"stages": ("stage", 1)}``) gives its items as ``stage1``,
+    ``stage2``, ...; a container keyed otherwise overrides ``children``.
     """
 
-    def named_parameters(self, prefix: str) -> Iterator[tuple[str, Tensor]]:
+    numbered: dict[str, tuple[str, int]] = {}
+
+    def __init__(self, **children):
+        """A plain holder of the given children."""
+        vars(self).update(children)
+
+    def children(self) -> Iterator[tuple[str, object]]:
         for attr, value in vars(self).items():
+            if attr in self.numbered:
+                name, start = self.numbered[attr]
+                yield from ((f"{name}{i}", item) for i, item in enumerate(value, start))
+            else:
+                yield attr, value
+
+    def named_parameters(self, prefix: str = "") -> Iterator[tuple[str, Tensor]]:
+        for name, value in self.children():
+            path = f"{prefix}.{name}" if prefix else name
             if isinstance(value, Tensor):
-                yield f"{prefix}.{attr}", value
+                yield path, value
             elif isinstance(value, Module):
-                yield from value.named_parameters(f"{prefix}.{attr}")
+                yield from value.named_parameters(path)
 
     def parameters(self) -> tuple[Tensor, ...]:
-        return tuple(p for _, p in self.named_parameters(""))
+        return tuple(p for _, p in self.named_parameters())
+
+    def set_trainable(self, flag: bool) -> None:
+        """Frozen parameters keep requires_grad False, so the optimizer
+        and backward both skip their buffers."""
+        for p in self.parameters():
+            p.requires_grad = flag

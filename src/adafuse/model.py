@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -11,6 +11,7 @@ from .adapters import (AdapterBank, Density, DensityConfig, build_adapter_bank,
                        fused_encode)
 from .encoder import Encoder, EncoderConfig
 from .heads import Decoder, FeatureFusion, modal_merge
+from .initializers import Module
 from .tensor import Tensor, ShapeError, upsample_bilinear
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
@@ -88,6 +89,8 @@ class ModelConfig(ConfigCodec):
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
         Density.parse(self.density)
+        if not (0.0 <= self.adapter_dropout < 1.0 and 0.0 <= self.drop_path_rate < 1.0):
+            raise ValueError("adapter_dropout and drop_path_rate must be in [0, 1)")
         if self.num_classes < 2:
             raise ValueError("need at least 2 classes")
         if self.decoder_dim == 0:
@@ -104,7 +107,7 @@ class ModelConfig(ConfigCodec):
         return _DTYPES[self.dtype]
 
 
-class FusionModel:
+class FusionModel(Module):
     """M frozen encoders exchanging features through an adapter bank,
     merged per stage and decoded to per-pixel class logits.
 
@@ -174,9 +177,8 @@ class FusionModel:
         if enc_cfg.drop_path_rate > 0:
             return 0
         n = enc_cfg.num_stages if self.bank is None else min(self.bank.density.active_stages) - 1
-        prefix = tuple(f"encoder.stage{s}." for s in range(1, n + 1))
-        if any(p.requires_grad and name.startswith(prefix)
-               for enc in self.encoders for name, p in enc.named_parameters()):
+        if any(p.requires_grad for enc in self.encoders
+               for stage in enc.stages[:n] for p in stage.parameters()):
             return 0
         return n
 
@@ -211,14 +213,12 @@ class FusionModel:
         return logits
 
     # -- parameters --------------------------------------------------------
-    def named_parameters(self) -> Iterator[tuple[str, Tensor]]:
+    def children(self):
         for name, enc in zip(self.config.modalities, self.encoders):
-            yield from enc.named_parameters(f"encoder.{name}")
-        if self.bank is not None:
-            yield from self.bank.named_parameters("adapters")
-        if self.ffm is not None:
-            yield from self.ffm.named_parameters("ffm")
-        yield from self.decoder.named_parameters("decoder")
+            yield f"encoder.{name}", enc
+        yield "adapters", self.bank
+        yield "ffm", self.ffm
+        yield "decoder", self.decoder
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, p) for n, p in self.named_parameters() if p.requires_grad]

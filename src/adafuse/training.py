@@ -48,6 +48,11 @@ class TrainConfig(ConfigCodec):
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not (self.base_lr >= 0.0 and self.warmup_epochs >= 0.0
+                and self.weight_decay >= 0.0 and self.seed >= 0):
+            raise ValueError("base_lr, warmup_epochs, weight_decay and seed must be >= 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1) and eps > 0")
 
 
 def lr_at(t: float, cfg: TrainConfig) -> float:

@@ -116,16 +116,11 @@ def fused_block_check(seed: int) -> float:
     density = DensityConfig(Density.PAIR_BIDIRECTIONAL, (1,))
     bank = build_adapter_bank(2, config, density, bottleneck=3, seed=seed,
                               dropout_rate=0.0)
-    for _, p in bank.named_parameters():
+    for p in bank.parameters():
         p.data[...] = rng.normal(0.0, 0.2, p.shape)
     xs = [Tensor(rng.normal(0.0, 1.0, (1, 4, 8))) for _ in range(2)]
 
-    params = []
-    for blk in blocks:
-        params.extend(p for _, p in blk.named_parameters("blk"))
-    params.extend(p for _, p in bank.named_parameters())
-    for p in params:
-        p.requires_grad = True
+    params = [p for blk in blocks for p in blk.parameters()] + list(bank.parameters())
 
     def f():
         outs = fused_block_forward(xs, blocks, 2, 2, bank, stage=1, block_idx=0)

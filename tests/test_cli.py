@@ -312,3 +312,43 @@ def test_config_file_string_for_a_tuple_field_is_a_type_error(tmp_path, capsys):
     assert code == 2
     assert "config key 'modalities' holds 'vis', not of the type of its default" in \
         capsys.readouterr().err
+
+
+OUT_OF_RANGE = [("train", "base_lr", -1.0), ("train", "warmup_epochs", -2.0),
+                ("train", "weight_decay", -0.1), ("train", "beta1", 1.5),
+                ("train", "beta2", 1.0), ("train", "eps", 0.0), ("train", "seed", -1),
+                ("model", "adapter_dropout", 1.0), ("model", "drop_path_rate", -0.5)]
+
+
+@pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
+                         ids=[f"{k}={v}" for _, k, v in OUT_OF_RANGE])
+def test_out_of_range_config_value_is_refused_before_anything_is_written(
+        tmp_path, capsys, section, key, value):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    config = {"model": {"bottleneck": 2},
+              "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 2}}
+    config[section][key] = value
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out),
+                "--config", str(cfg_file)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("adapter_dropout", 1.0), ("adapter_dropout", -0.1),
+                                       ("drop_path_rate", 1.5)])
+def test_eval_checkpoint_config_value_out_of_range_is_io_error(tmp_path, capsys,
+                                                               key, value):
+    dirs = eval_inputs(tmp_path)
+    path = dirs["checkpoint"] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"][key] = value
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and key in err and "must be in [0, 1)" in err

@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adafuse.initializers import Module
 from adafuse.model import FusionModel, ModelConfig
+from adafuse.tensor import Tensor
 
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).with_name("golden_parameters.json.gz")
@@ -43,10 +45,9 @@ def config_id(config: dict) -> str:
     return ";".join(f"{k}={v}" for k, v in config.items())
 
 
-def listing(config: dict) -> dict:
+def listing(model: FusionModel) -> dict:
     """Ordered (name, shape, requires_grad) of every parameter, plus a
     digest of their initial bytes."""
-    model = FusionModel(ModelConfig(dtype="float32", bottleneck=4, seed=3, **config))
     digest = hashlib.sha256()
     params = []
     for name, p in model.named_parameters():
@@ -55,9 +56,24 @@ def listing(config: dict) -> dict:
     return {"params": params, "init_sha256": digest.hexdigest()}
 
 
+def reachable_tensors(obj, found: dict) -> dict:
+    """id -> tensor for every ``Tensor`` reachable from ``obj`` through
+    ``Module`` attributes, list and tuple items and dict values."""
+    if isinstance(obj, Tensor):
+        found[id(obj)] = obj
+    elif isinstance(obj, Module):
+        reachable_tensors(list(vars(obj).values()), found)
+    elif isinstance(obj, (list, tuple)):
+        for item in obj:
+            reachable_tensors(item, found)
+    elif isinstance(obj, dict):
+        reachable_tensors(list(obj.values()), found)
+    return found
+
+
 @pytest.fixture(scope="module")
 def golden():
-    """``listing`` of every config, captured while each layer still
+    """``listing`` of every config's model, captured while each layer still
     spelled out its parameter names by hand."""
     with gzip.open(GOLDEN, "rt", encoding="utf-8") as f:
         return json.load(f)
@@ -65,7 +81,11 @@ def golden():
 
 @pytest.mark.parametrize("config", CONFIGS, ids=config_id)
 def test_parameters_match_the_golden_list(config, golden):
-    assert listing(config) == golden[config_id(config)]
+    model = FusionModel(ModelConfig(dtype="float32", bottleneck=4, seed=3, **config))
+    assert listing(model) == golden[config_id(config)]
+    # the registry is complete: every tensor the model holds is named once
+    named = sorted(id(p) for p in model.parameters())
+    assert named == sorted(reachable_tensors(model, {}))
 
 
 def test_benchmark_tracer_installs_and_uninstalls():

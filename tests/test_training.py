@@ -488,7 +488,7 @@ def test_frozen_stage_count():
 def test_fit_encodes_each_sample_prefix_once(monkeypatch):
     model = staged_model(("vis", "ir"), (3, 4))
     ds = tiny_dataset(n=7, seed=12)
-    first_embed = model.encoders[0].patch_embeds[0]
+    first_embed = model.encoders[0].stages[0].patch
     original = PatchEmbed.__call__
     seen = []
 
