@@ -91,8 +91,10 @@ class ModelConfig(ConfigCodec):
         Density.parse(self.density)
         if not (0.0 <= self.adapter_dropout < 1.0 and 0.0 <= self.drop_path_rate < 1.0):
             raise ValueError("adapter_dropout and drop_path_rate must be in [0, 1)")
-        if self.num_classes < 2:
-            raise ValueError("need at least 2 classes")
+        for key, low in (("num_classes", 2), ("bottleneck", 1), ("decoder_dim", 0),
+                         ("seed", 0)):
+            if getattr(self, key) < low:
+                raise ValueError(f"{key} must be >= {low}")
         if self.decoder_dim == 0:
             self.decoder_dim = 256 if self.preset == "b2-like" else 64
 

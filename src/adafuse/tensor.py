@@ -22,6 +22,7 @@ counting frees every node and buffer.
 from __future__ import annotations
 
 import contextlib
+import functools
 import math
 import threading
 from typing import Callable, Optional, Sequence
@@ -156,9 +157,17 @@ def _as_tensor(value, dtype) -> Tensor:
 
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    """Wrap an op result; record a node iff gradients can flow."""
-    needs = _TAPE.grad_enabled and any(t.requires_grad for t in inputs)
-    out = Tensor(out_data, requires_grad=needs)
+    """Wrap an op result; record a node iff gradients can flow. Results
+    keep their inputs' float dtype; a numpy scalar becomes a 0-d array."""
+    needs = False
+    if _TAPE.grad_enabled:
+        for t in inputs:
+            if t.requires_grad:
+                needs = True
+                break
+    out = Tensor.__new__(Tensor)
+    out.data = out_data if isinstance(out_data, np.ndarray) else np.asarray(out_data)
+    out.grad, out.requires_grad, out._node = None, needs, None
     if needs:
         out._node = Node(tuple(inputs), backward_fn)
         _TAPE._nodes.append(out._node)
@@ -411,9 +420,15 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         raise ShapeError(
             f"layer_norm affine params must have shape ({d},), "
             f"got gamma {gamma.shape}, beta {beta.shape}")
-    mu = x.data.mean(axis=-1, keepdims=True)
+
+    def mean_last(a):    # a.mean(-1, keepdims=True) to the bit, minus numpy's wrapper
+        m = np.add.reduce(a, axis=-1, keepdims=True)
+        m /= d           # correctly rounded, as in numpy's mean
+        return m
+
+    mu = mean_last(x.data)
     centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
+    var = mean_last(centered * centered)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
@@ -423,14 +438,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
         lead = tuple(range(g.ndim - 1))
         dx = dgamma = dbeta = None
         if need_beta:
-            dbeta = g.sum(axis=lead)
+            dbeta = np.add.reduce(g, axis=lead)
         if need_gamma:
-            dgamma = (g * xhat).sum(axis=lead)
+            dgamma = np.add.reduce(g * xhat, axis=lead)
         if need_x:
             dxhat = g * gamma.data
             dx = inv * (dxhat
-                        - dxhat.mean(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+                        - mean_last(dxhat)
+                        - xhat * mean_last(dxhat * xhat))
         return dx, dgamma, dbeta
 
     return _make(out, (x, gamma, beta), bwd)
@@ -533,15 +548,25 @@ def extract_patches(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         raise ShapeError(
             f"extract_patches: spatial dims {h}x{w} too small for "
             f"kernel={kernel} stride={stride} pad={pad}")
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
-    win = win[:, :, ::stride, ::stride]              # [B, C, out_h, out_w, k, k]
-    out = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, out_h * out_w, c * kernel * kernel)
-    out = np.ascontiguousarray(out)
+    xp = x.data
+    if pad:
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp[:, :, pad:pad + h, pad:pad + w] = x.data
+    padded = xp.shape
+    if kernel == stride and pad == 0:                # disjoint windows: split the axes
+        win = xp[:, :, :out_h * kernel, :out_w * kernel].reshape(
+            b, c, out_h, kernel, out_w, kernel).transpose(0, 2, 4, 1, 3, 5)
+    else:
+        sb, sc, sh, sw = xp.strides
+        win = np.lib.stride_tricks.as_strided(xp, (b, out_h, out_w, c, kernel, kernel),
+                                              (sb, sh * stride, sw * stride, sc, sh, sw))
+    out = np.empty(win.shape, dtype=x.dtype)         # [B, out_h, out_w, C, k, k]
+    out[...] = win
+    out = out.reshape(b, out_h * out_w, c * kernel * kernel)
 
     def bwd(g):
         gw = g.reshape(b, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-        gp = np.zeros_like(xp)
+        gp = np.zeros(padded, dtype=x.dtype)
         for ki in range(kernel):
             for kj in range(kernel):
                 gp[:, :, ki:ki + out_h * stride:stride,
@@ -553,8 +578,9 @@ def extract_patches(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     return _make(out, (x,), bwd)
 
 
+@functools.lru_cache(maxsize=None)
 def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
-    """Row-interpolation matrix for align_corners=False bilinear."""
+    """Row-interpolation matrix for align_corners=False bilinear (cached, read-only)."""
     m = np.zeros((n_out, n_in), dtype=dtype)
     scale = n_in / n_out
     for i in range(n_out):
@@ -565,6 +591,7 @@ def _interp_matrix(n_out: int, n_in: int, dtype) -> np.ndarray:
         frac = src - lo
         m[i, lo] += 1.0 - frac
         m[i, hi] += frac
+    m.flags.writeable = False
     return m
 
 

@@ -210,13 +210,13 @@ def resolve(tmp_path, *flags, config=None):
 def test_every_train_flag_lands_on_its_field(tmp_path):
     model_cfg, train_cfg = resolve(
         tmp_path, "--preset", "b2-like", "--modalities", "ir", "--density", "pair-uni",
-        "--stages", "3,4", "--r", "0", "--ffm", "--dtype", "float32", "--epochs", "6",
+        "--stages", "3,4", "--r", "5", "--ffm", "--dtype", "float32", "--epochs", "6",
         "--batch-size", "3", "--lr", "0.5", "--warmup-epochs", "2",
         "--decay-factor", "0.25", "--seed", "7")
     assert (model_cfg.preset, model_cfg.modalities, model_cfg.channels) == \
         ("b2-like", ("ir",), (1,))
     assert (model_cfg.density, model_cfg.active_stages, model_cfg.bottleneck) == \
-        ("pair-uni", (3, 4), 0)
+        ("pair-uni", (3, 4), 5)
     assert (model_cfg.use_ffm, model_cfg.dtype, model_cfg.seed) == (True, "float32", 7)
     assert model_cfg.num_classes == 4
     assert (train_cfg.epochs, train_cfg.batch_size, train_cfg.base_lr) == (6, 3, 0.5)
@@ -337,6 +337,38 @@ def test_out_of_range_config_value_is_refused_before_anything_is_written(
     err = capsys.readouterr().err
     assert "config error" in err and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("decoder_dim", -3), ("bottleneck", 0), ("seed", -1)])
+def test_out_of_range_model_size_or_seed_is_refused_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    # single modality: no adapter bank reads the bottleneck, so only the
+    # config check can refuse it
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    config = {"model": {"modalities": ["vis"], "channels": [1], key: value},
+              "train": {"epochs": 1, "warmup_epochs": 0, "batch_size": 2}}
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key,value", [("decoder_dim", -3), ("bottleneck", 0), ("seed", -1)])
+def test_eval_checkpoint_model_size_or_seed_out_of_range_is_io_error(tmp_path, capsys,
+                                                                     key, value):
+    dirs = eval_inputs(tmp_path)
+    path = dirs["checkpoint"] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"][key] = value
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and f"{key} must be >= " in err
 
 
 @pytest.mark.parametrize("key,value", [("adapter_dropout", 1.0), ("adapter_dropout", -0.1),

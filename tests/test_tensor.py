@@ -585,8 +585,146 @@ def test_attention_rejects_mismatched_operands():
 
 
 # ---------------------------------------------------------------------
+# rewritten primitives: bit-identical to the code they replaced
+# ---------------------------------------------------------------------
+
+def reference_extract_patches(x, kernel, stride, pad):
+    """``extract_patches`` as written with ``np.pad`` and a sliding window."""
+    b, c, h, w = x.shape
+    out_h = (h + 2 * pad - kernel) // stride + 1
+    out_w = (w + 2 * pad - kernel) // stride + 1
+    xp = np.pad(x.data, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
+    win = np.lib.stride_tricks.sliding_window_view(xp, (kernel, kernel), axis=(2, 3))
+    win = win[:, :, ::stride, ::stride]
+    out = win.transpose(0, 2, 3, 1, 4, 5).reshape(b, out_h * out_w, c * kernel * kernel)
+    out = np.ascontiguousarray(out)
+
+    def bwd(g):
+        gw = g.reshape(b, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
+        gp = np.zeros_like(xp)
+        for ki in range(kernel):
+            for kj in range(kernel):
+                gp[:, :, ki:ki + out_h * stride:stride,
+                   kj:kj + out_w * stride:stride] += gw[..., ki, kj]
+        if pad:
+            gp = gp[:, :, pad:pad + h, pad:pad + w]
+        return (np.ascontiguousarray(gp),)
+
+    return af.tensor._make(out, (x,), bwd)
+
+
+def reference_layer_norm(x, gamma, beta, eps=1e-6):
+    """``layer_norm`` as written with ``ndarray.mean`` and ``ndarray.sum``."""
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = xhat * gamma.data + beta.data
+    need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+
+    def bwd(g):
+        lead = tuple(range(g.ndim - 1))
+        dx = dgamma = dbeta = None
+        if need_beta:
+            dbeta = g.sum(axis=lead)
+        if need_gamma:
+            dgamma = (g * xhat).sum(axis=lead)
+        if need_x:
+            dxhat = g * gamma.data
+            dx = inv * (dxhat
+                        - dxhat.mean(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+        return dx, dgamma, dbeta
+
+    return af.tensor._make(out, (x, gamma, beta), bwd)
+
+
+def awkward(rng, shape, dtype):
+    """Normal values with +0.0, -0.0 and entries near 1e4 mixed in."""
+    a = rng.normal(size=shape)
+    flat = a.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = 0.0
+    flat[5::13] *= 1e4
+    return a.astype(dtype)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("kernel,stride,pad,shape", [
+    (7, 4, 3, (2, 1, 32, 32)), (3, 2, 1, (2, 4, 8, 8)), (2, 2, 0, (2, 4, 8, 8)),
+    (8, 8, 0, (2, 3, 16, 16)), (1, 1, 0, (2, 3, 5, 5)), (3, 2, 1, (2, 2, 7, 9)),
+    (2, 2, 0, (2, 2, 7, 9)), (3, 1, 0, (1, 2, 6, 5)),
+], ids=["7-4-3", "3-2-1", "2-2-0", "8-8-0", "1-1-0", "3-2-1-odd", "2-2-0-odd", "3-1-0"])
+@pytest.mark.parametrize("layout", ["contiguous", "transposed"])
+def test_extract_patches_is_bitwise_the_replaced_code(dtype, kernel, stride, pad, shape,
+                                                      layout):
+    rng = np.random.default_rng(50 + kernel)
+    if layout == "contiguous":
+        x = af.Tensor(awkward(rng, shape, dtype), requires_grad=True)
+    else:                                       # a token map seen as [B, C, H, W]
+        b, c, h, w = shape
+        tokens = awkward(rng, (b, h, w, c), dtype)
+        x = af.Tensor(tokens.transpose(0, 3, 1, 2), requires_grad=True)
+    assert_same_bits(af.extract_patches(x, kernel, stride, pad),
+                     reference_extract_patches(x, kernel, stride, pad), [x], seed=51)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("trainable", ["x", "gamma,beta", "x,gamma,beta"])
+@pytest.mark.parametrize("shape", [(3, 7), (2, 5, 20), (2, 3, 4, 64)])
+def test_layer_norm_is_bitwise_the_replaced_code(dtype, trainable, shape):
+    rng = np.random.default_rng(60 + len(shape))
+    d = shape[-1]
+    x = af.Tensor(awkward(rng, shape, dtype) * 50, requires_grad="x" in trainable)
+    gamma = af.Tensor(awkward(rng, (d,), dtype), requires_grad="gamma" in trainable)
+    beta = af.Tensor(awkward(rng, (d,), dtype), requires_grad="beta" in trainable)
+    assert_same_bits(af.layer_norm(x, gamma, beta),
+                     reference_layer_norm(x, gamma, beta), [x, gamma, beta], seed=61)
+
+
+# ---------------------------------------------------------------------
 # tensor invariants
 # ---------------------------------------------------------------------
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_full_sum_is_a_zero_d_array_of_the_input_dtype(dtype):
+    out = af.tsum(af.Tensor(np.ones((3, 4), dtype=dtype)))
+    assert type(out.data) is np.ndarray and out.data.dtype == dtype and out.shape == ()
+
+
+def test_every_primitive_keeps_float32():
+    rng = np.random.default_rng(70)
+
+    def f32(*shape):
+        return af.Tensor(rng.normal(size=shape).astype(np.float32), requires_grad=True)
+
+    x, w, b = f32(2, 4, 6), f32(6, 6), f32(6)
+    img = f32(2, 3, 4, 4)
+    outputs = {
+        "add": af.add(x, 1.5), "sub": af.sub(x, x), "mul": af.mul(x, 0.5),
+        "texp": af.texp(x), "tlog": af.tlog(af.texp(x)), "matmul": af.matmul(x, w, b),
+        "attention": af.attention(x, x, x, 2), "gelu": af.gelu(x),
+        "softmax": af.softmax(x), "log_softmax": af.log_softmax(x),
+        "layer_norm": af.layer_norm(x, b, b),
+        "dropout": af.dropout(x, 0.5, rng=np.random.default_rng(0)),
+        "drop_path": af.drop_path(x, 0.5, rng=np.random.default_rng(0)),
+        "tsum": af.tsum(x), "tsum_axis": af.tsum(x, axis=1), "tmean": af.tmean(x),
+        "reshape": af.reshape(x, (8, 6)), "transpose": af.transpose(x, (2, 0, 1)),
+        "concat": af.concat([x, x], axis=1), "extract_patches": af.extract_patches(img, 3, 2, 1),
+        "upsample_bilinear": af.upsample_bilinear(img, 7, 9),
+    }
+    for name, out in outputs.items():
+        assert isinstance(out.data, np.ndarray) and out.dtype == np.float32, name
+
+
+def test_interpolation_matrices_are_cached_and_read_only():
+    rows = af.tensor._interp_matrix(8, 3, np.dtype(np.float32))
+    assert af.tensor._interp_matrix(8, 3, np.dtype(np.float32)) is rows
+    with pytest.raises(ValueError, match="read-only"):
+        rows[0, 0] = 2.0
+    assert rows.dtype == np.float32 and np.allclose(rows.sum(axis=1), 1.0)
+
 
 def test_data_length_matches_shape_product():
     x = t(np.zeros((3, 4, 5)))

@@ -485,6 +485,33 @@ def test_frozen_stage_count():
     assert model.frozen_stages() == 0
 
 
+@pytest.mark.parametrize("preset,modalities,stages,ffm,nodes", [
+    ("tiny", ("vis", "ir"), (1, 2, 3, 4), False, 488),
+    ("tiny", ("vis",), (1, 2, 3, 4), False, 30),
+    ("b2-like", ("vis", "ir"), (3, 4), True, 554),
+], ids=["fused-tiny", "single-tiny", "b2-stages34-ffm"])
+def test_recorded_graph_size_is_pinned(preset, modalities, stages, ffm, nodes):
+    """Tape nodes of one training forward plus loss at batch 2, with the
+    frozen prefix cached as ``fit`` does: the per-step node counts that
+    the benchmark's traced runs report for its three training workloads."""
+    model = af.FusionModel(af.ModelConfig(preset=preset, modalities=modalities,
+                                          channels=(1,) * len(modalities),
+                                          active_stages=stages, use_ffm=ffm,
+                                          dtype="float32"))
+    batch = tiny_dataset(n=2, seed=13).samples
+    images, labels = stack_batch(batch, modalities)
+    frozen = model.frozen_stages()
+    if frozen:
+        images = training._frozen_features(model, frozen, {}, [0, 1], images)
+    tape = af.active_tape()
+    tape.clear()
+    try:
+        cross_entropy(model.logits_at(images, 32, 32, train=True), labels)
+        assert len(tape) == nodes
+    finally:
+        tape.clear()
+
+
 def test_fit_encodes_each_sample_prefix_once(monkeypatch):
     model = staged_model(("vis", "ir"), (3, 4))
     ds = tiny_dataset(n=7, seed=12)
