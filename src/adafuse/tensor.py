@@ -93,7 +93,11 @@ class Tensor:
         arr = np.asarray(data, dtype=dtype)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
-        self.data: np.ndarray = arr
+        self._fill(arr, requires_grad)
+
+    def _fill(self, data: np.ndarray, requires_grad: bool) -> None:
+        """Set every slot; ``data`` must already be a float ndarray."""
+        self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._node: Optional[Node] = None
@@ -159,15 +163,9 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
     """Wrap an op result; record a node iff gradients can flow. Results
     keep their inputs' float dtype; a numpy scalar becomes a 0-d array."""
-    needs = False
-    if _TAPE.grad_enabled:
-        for t in inputs:
-            if t.requires_grad:
-                needs = True
-                break
+    needs = _TAPE.grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
-    out.data = out_data if isinstance(out_data, np.ndarray) else np.asarray(out_data)
-    out.grad, out.requires_grad, out._node = None, needs, None
+    out._fill(out_data if isinstance(out_data, np.ndarray) else np.asarray(out_data), needs)
     if needs:
         out._node = Node(tuple(inputs), backward_fn)
         _TAPE._nodes.append(out._node)
@@ -553,13 +551,9 @@ def extract_patches(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
         xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x.data
     padded = xp.shape
-    if kernel == stride and pad == 0:                # disjoint windows: split the axes
-        win = xp[:, :, :out_h * kernel, :out_w * kernel].reshape(
-            b, c, out_h, kernel, out_w, kernel).transpose(0, 2, 4, 1, 3, 5)
-    else:
-        sb, sc, sh, sw = xp.strides
-        win = np.lib.stride_tricks.as_strided(xp, (b, out_h, out_w, c, kernel, kernel),
-                                              (sb, sh * stride, sw * stride, sc, sh, sw))
+    sb, sc, sh, sw = xp.strides
+    win = np.lib.stride_tricks.as_strided(xp, (b, out_h, out_w, c, kernel, kernel),
+                                          (sb, sh * stride, sw * stride, sc, sh, sw))
     out = np.empty(win.shape, dtype=x.dtype)         # [B, out_h, out_w, C, k, k]
     out[...] = win
     out = out.reshape(b, out_h * out_w, c * kernel * kernel)
