@@ -51,8 +51,8 @@ print("dropout(1s, p=0.5):", kept.data)
 
 # -- verifying gradients against central differences -------------------
 
-err = af.grad_check(lambda v: af.tsum(af.gelu(v)),
-                    af.Tensor(rng.normal(size=(5, 5))))
+v = af.Tensor(rng.normal(size=(5, 5)), requires_grad=True)
+err = af.grad_check_params(lambda: af.tsum(af.gelu(v)), [v])
 print("\ngelu gradient vs finite differences, max rel err:", err)
 
 gamma.requires_grad = beta.requires_grad = True

@@ -35,7 +35,7 @@ for variant in ("shared", "pair-bi", "pair-uni"):
 density = DensityConfig("pair-bi", (3, 4))
 bank = build_adapter_bank(2, cfg, density, bottleneck=8, seed=0)
 fused = fused_encode(encoders, imgs, bank)
-solo = [enc(img) for enc, img in zip(encoders, imgs)]
+solo = [fused_encode([enc], [img], None)[0] for enc, img in zip(encoders, imgs)]
 same = all(np.array_equal(f.data, s.data)
            for pf, ps in zip(fused, solo) for f, s in zip(pf, ps))
 print("\nfresh bank (zero up-projections) leaves encodings untouched:", same)

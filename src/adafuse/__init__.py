@@ -6,7 +6,7 @@ from .tensor import (Tensor, Tape, ShapeError, active_tape, backward, no_grad,
                      log_softmax, layer_norm, dropout, drop_path, tsum, tmean,
                      reshape, transpose, concat, texp, tlog, extract_patches,
                      upsample_bilinear)
-from .gradcheck import grad_check, grad_check_params, relative_error
+from .gradcheck import grad_check_params, relative_error
 from .encoder import Encoder, EncoderConfig, TransformerBlock, tokens_to_map, map_to_tokens
 from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
                        build_adapter_bank, fused_block_forward, fused_encode,

@@ -174,13 +174,17 @@ def _dataset_channels(dataset, names) -> tuple[int, ...]:
     return tuple(channel_of[n] for n in names)
 
 
-def _check_eval_dataset(dataset, config: ModelConfig) -> None:
-    """Refuse a dataset that lacks one of the model's modalities or has
-    another class count."""
+def _check_dataset(dataset, config: ModelConfig) -> None:
+    """Refuse a dataset that lacks one of the model's modalities, has
+    another class count or an image size the encoder cannot tile."""
     _dataset_channels(dataset, config.modalities)
     if dataset.num_classes != config.num_classes:
         raise ConfigError(f"dataset has {dataset.num_classes} classes, the model "
                           f"predicts {config.num_classes}")
+    multiple = config.encoder_config().size_multiple
+    if dataset.height % multiple or dataset.width % multiple:
+        raise ConfigError(f"dataset images are {dataset.height}x{dataset.width}, not "
+                          f"multiples of {multiple} as the {config.preset} encoder needs")
 
 
 def cmd_train(args) -> int:
@@ -188,9 +192,10 @@ def cmd_train(args) -> int:
     if len(dataset) == 0:
         raise ConfigError(f"dataset {args.data!r} holds no samples")
     model_cfg, train_cfg = _resolve_train_configs(args, dataset)
+    _check_dataset(dataset, model_cfg)
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     if eval_set is not None:
-        _check_eval_dataset(eval_set, model_cfg)
+        _check_dataset(eval_set, model_cfg)
     model = FusionModel(model_cfg)
 
     out = Path(args.out)
@@ -224,7 +229,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
-    _check_eval_dataset(dataset, model.config)
+    _check_dataset(dataset, model.config)
     metrics = evaluate(model, dataset)
     text, csv = format_metrics(metrics)
     print(csv.strip())

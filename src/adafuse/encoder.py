@@ -2,9 +2,9 @@
 
 One encoder per modality. Stages shrink the spatial grid by their
 configured stride; each stage is overlapping-patch embedding followed by
-transformer blocks and a layer norm. ``Encoder.forward`` and
-``TransformerBlock`` are the plain per-modality path; the fused wiring in
-``adapters`` reuses their layers.
+transformer blocks and a layer norm. ``Encoder`` holds the layers;
+``adapters.fused_encode`` runs them, through ``TransformerBlock`` for a
+stage without adapters.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ class EncoderConfig:
         if not (len(self.depths) == len(self.heads) == len(self.strides)
                 == len(self.sr_ratios) == n):
             raise ValueError("per-stage config lists must have equal length")
-        if any(v <= 0 for v in self.dims + self.depths + self.heads + self.strides):
+        if any(v <= 0 for v in self.dims + self.depths + self.heads + self.strides
+               + self.sr_ratios):
             raise ValueError("all per-stage extents must be positive")
         for d, h in zip(self.dims, self.heads):
             if d % h != 0:
@@ -43,6 +44,12 @@ class EncoderConfig:
     @property
     def num_stages(self) -> int:
         return len(self.dims)
+
+    @property
+    def size_multiple(self) -> int:
+        """Input sides must be multiples of this: each stage's grid must
+        divide by its patch stride and by its K/V pooling."""
+        return int(np.lcm.reduce(np.cumprod(self.strides) * np.array(self.sr_ratios)))
 
     @staticmethod
     def preset(name: str) -> "EncoderConfig":
@@ -209,22 +216,3 @@ class Encoder(Module):
     def stage_norm(self, stage: int, tokens: Tensor) -> Tensor:
         st = self.stages[stage]
         return layer_norm(tokens, st.norm_gamma, st.norm_beta)
-
-    def forward(self, x: Tensor, *,
-                rng: Optional[np.random.Generator] = None) -> list[Tensor]:
-        """Run all stages; returns per-stage feature maps [B, d_i, h_i, w_i].
-        ``rng`` is the training-mode drop-path generator."""
-        if x.ndim != 4:
-            raise ShapeError(f"encoder expects [B, C, H, W], got {x.shape}")
-        feats = []
-        cur = x
-        for s, stage in enumerate(self.stages):
-            tokens, (h, w) = stage.patch(cur)
-            for blk in stage.blocks:
-                tokens = blk(tokens, h, w, rng=rng)
-            tokens = self.stage_norm(s, tokens)
-            cur = tokens_to_map(tokens, h, w)
-            feats.append(cur)
-        return feats
-
-    __call__ = forward

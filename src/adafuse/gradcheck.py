@@ -57,10 +57,3 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
                 a = 0.0 if ref is None else float(ref.reshape(-1)[idx])
                 worst = max(worst, relative_error(a, numeric))
     return worst
-
-
-def grad_check(f: Callable[[Tensor], Tensor], x: Tensor, h: float = 1e-4,
-               max_coords: Optional[int] = None, seed: int = 0) -> float:
-    """Convenience form for a single-input scalar function ``f(x)``."""
-    x.requires_grad = True
-    return grad_check_params(lambda: f(x), [x], h=h, max_coords=max_coords, seed=seed)

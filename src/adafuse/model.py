@@ -89,6 +89,11 @@ class ModelConfig(ConfigCodec):
         if self.dtype not in _DTYPES:
             raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
         Density.parse(self.density)
+        n = EncoderConfig.preset(self.preset).num_stages
+        if not self.active_stages or not all(1 <= s <= n for s in self.active_stages):
+            raise ValueError(f"active_stages must be non-empty and within 1..{n}")
+        if min(self.channels) < 1:
+            raise ValueError("channels must be >= 1")
         if not (0.0 <= self.adapter_dropout < 1.0 and 0.0 <= self.drop_path_rate < 1.0):
             raise ValueError("adapter_dropout and drop_path_rate must be in [0, 1)")
         for key, low in (("num_classes", 2), ("bottleneck", 1), ("decoder_dim", 0),

@@ -10,13 +10,13 @@ record in reverse, so gradient accumulation order is fixed by forward
 order and runs are bit-stable. Each thread records its own graph and
 must run ``backward`` on it itself.
 
-A node's backward rule takes the output gradient and returns one entry
-per input: the input's gradient, or ``None`` for an input that did not
-require a gradient when the node was made. Frozen operands (encoder
-weights, constants, wrapped scalars) therefore cost no backward work.
-Nodes link only to their inputs, so the graph holds no reference cycle:
-once ``Tape.clear`` has run and the caller drops its tensors, reference
-counting frees every node and buffer.
+A recorded op's result tensor holds the op's inputs and backward rule.
+The rule takes the output gradient and returns one entry per input: the
+input's gradient, or ``None`` for an input that did not require a
+gradient when the op ran. Frozen operands (encoder weights, constants,
+wrapped scalars) therefore cost no backward work. A tensor links only to
+its inputs, so the graph holds no cycle: once ``Tape.clear`` has run and
+the caller drops its tensors, reference counting frees every buffer.
 """
 
 from __future__ import annotations
@@ -35,28 +35,18 @@ class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
 
 
-class Node:
-    """One executed primitive: its inputs and gradient rule."""
-
-    __slots__ = ("inputs", "backward_fn")
-
-    def __init__(self, inputs, backward_fn):
-        self.inputs = inputs
-        self.backward_fn = backward_fn
-
-
 class Tape(threading.local):
     """Execution-ordered record of primitive operations, one per thread.
 
-    Each thread that touches a tape sees its own node list and grad
-    flag. Reverse iteration visits each node exactly once, which is the
-    traversal ``backward`` uses. Clear it between training steps to
-    release intermediate buffers; tensors kept past ``clear`` keep their
-    values, but a ``backward`` through them raises.
+    Each thread that touches a tape sees its own list of recorded
+    tensors and grad flag. Reverse iteration visits each exactly once,
+    which is the traversal ``backward`` uses. Clear it between training
+    steps to release intermediate buffers; tensors kept past ``clear``
+    keep their values, but a ``backward`` through them raises.
     """
 
     def __init__(self):
-        self._nodes: list[Node] = []
+        self._nodes: list[Tensor] = []
         self.grad_enabled = True
 
     def clear(self) -> None:
@@ -85,9 +75,10 @@ def no_grad():
 
 
 class Tensor:
-    """A dense row-major n-d value with an optional gradient buffer."""
+    """A dense row-major n-d value with an optional gradient buffer; a
+    recorded op's result also holds its ``inputs`` and ``backward_fn``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node")
+    __slots__ = ("data", "grad", "requires_grad", "inputs", "backward_fn")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -100,7 +91,8 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self._node: Optional[Node] = None
+        self.inputs: Optional[tuple[Tensor, ...]] = None
+        self.backward_fn: Optional[Callable] = None
 
     # -- introspection ------------------------------------------------
     @property
@@ -161,14 +153,15 @@ def _as_tensor(value, dtype) -> Tensor:
 
 def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
           backward_fn: Callable[[np.ndarray], Sequence[Optional[np.ndarray]]]) -> Tensor:
-    """Wrap an op result; record a node iff gradients can flow. Results
-    keep their inputs' float dtype; a numpy scalar becomes a 0-d array."""
+    """Wrap an op result; record it iff gradients can flow. Results keep
+    their inputs' float dtype; a numpy scalar becomes a 0-d array."""
     needs = _TAPE.grad_enabled and any(t.requires_grad for t in inputs)
     out = Tensor.__new__(Tensor)
     out._fill(out_data if isinstance(out_data, np.ndarray) else np.asarray(out_data), needs)
     if needs:
-        out._node = Node(tuple(inputs), backward_fn)
-        _TAPE._nodes.append(out._node)
+        out.inputs = tuple(inputs)
+        out.backward_fn = backward_fn
+        _TAPE._nodes.append(out)
     return out
 
 
@@ -193,17 +186,16 @@ def backward(loss: Tensor) -> None:
     accumulate one gradient's worth per call. The reverse sweep follows
     tape order, so accumulation order is deterministic for a fixed
     forward order. Backward rules return ``None`` for inputs that did
-    not require a gradient when their node was recorded, and those
+    not require a gradient when their op was recorded, and those
     inputs are skipped. Raises ``RuntimeError`` if part of the graph is
     not on the calling thread's tape.
     """
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # node (or leaf tensor) -> pending gradient. A node runs only when it
-    # has a pending gradient, so nodes outside the loss's graph never run.
-    pending: dict[Node | Tensor, np.ndarray] = {
-        loss._node or loss: np.ones_like(loss.data)}
+    # tensor -> pending gradient. A recorded tensor's rule runs only when
+    # it has a pending gradient, so ops outside the loss's graph never run.
+    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     for node in reversed(_TAPE._nodes):
         g_out = pending.pop(node, None)
         if g_out is None:
@@ -211,10 +203,9 @@ def backward(loss: Tensor) -> None:
         for t, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is None or not t.requires_grad:
                 continue
-            key = t._node or t
-            prev = pending.get(key)
-            pending[key] = g if prev is None else prev + g
-    if any(isinstance(key, Node) for key in pending):
+            prev = pending.get(t)
+            pending[t] = g if prev is None else prev + g
+    if any(t.backward_fn is not None for t in pending):
         raise RuntimeError("backward: the loss's graph is not on this thread's tape; "
                            "it was cleared, or recorded in another thread")
     for t, g in pending.items():

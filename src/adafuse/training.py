@@ -73,12 +73,9 @@ def lr_at(t: float, cfg: TrainConfig) -> float:
 def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
     """Mean over non-ignored pixels of -log softmax(logits)[label].
 
-    ``logits`` is [B, K, H, W] (or [K, H, W]); ``labels`` matches its
-    spatial/batch dims. All-ignored input yields a constant 0.
+    ``logits`` is [B, K, H, W]; ``labels`` matches its spatial/batch
+    dims. All-ignored input yields a constant 0.
     """
-    if logits.ndim == 3:
-        logits = logits.reshape((1,) + logits.shape)
-        labels = np.asarray(labels)[None]
     b, k, h, w = logits.shape
     labels = np.asarray(labels).reshape(b, h, w)
     flat_labels = labels.reshape(-1)

@@ -85,7 +85,7 @@ def test_criterion_3_zero_adapter_transparency():
     encoders = [Encoder(cfg, 1, seed=(3, i)) for i in range(2)]
     imgs = [af.Tensor(np.random.default_rng(30 + i).random((1, 1, 32, 32)))
             for i in range(2)]
-    solo = [enc(img) for enc, img in zip(encoders, imgs)]
+    solo = [fused_encode([enc], [img], None)[0] for enc, img in zip(encoders, imgs)]
     ok = True
     checked = 0
     for variant in ("shared", "pair-bi", "pair-uni"):

@@ -260,7 +260,7 @@ def test_zero_adapter_transparency(variant, stages):
     imgs = [af.Tensor(rng_of(70 + i).random((1, 1, 32, 32))) for i in range(2)]
     fused = fused_encode(encoders, imgs, bank)
     for i in range(2):
-        solo = encoders[i](imgs[i])
+        solo = fused_encode([encoders[i]], [imgs[i]], None)[0]
         for fs, ss in zip(fused[i], solo):
             assert np.array_equal(fs.data, ss.data)
 
@@ -276,7 +276,7 @@ def test_active_stage_subset_only_it_changes():
     imgs = [af.Tensor(rng_of(80 + i).random((1, 1, 32, 32))) for i in range(2)]
     fused = fused_encode(encoders, imgs, bank)
     for i in range(2):
-        solo = encoders[i](imgs[i])
+        solo = fused_encode([encoders[i]], [imgs[i]], None)[0]
         # stages before the active set are untouched
         for s in (0, 1):
             assert np.array_equal(fused[i][s].data, solo[s].data)

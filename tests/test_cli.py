@@ -384,3 +384,62 @@ def test_eval_checkpoint_config_value_out_of_range_is_io_error(tmp_path, capsys,
     assert code == 3
     err = capsys.readouterr().err
     assert "i/o error" in err and key in err and "must be in [0, 1)" in err
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("preset", "huge", "unknown encoder preset 'huge'"),
+    ("active_stages", [5], "active_stages must be non-empty and within 1..4"),
+    ("active_stages", [], "active_stages must be non-empty and within 1..4"),
+    ("channels", [-1, 1], "channels must be >= 1")])
+def test_eval_checkpoint_model_structure_out_of_range_is_io_error(tmp_path, capsys,
+                                                                  key, value, message):
+    dirs = eval_inputs(tmp_path)
+    path = dirs["checkpoint"] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"][key] = value
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "i/o error" in err and message in err
+
+
+def test_single_modality_config_with_a_stage_outside_the_preset_is_refused(tmp_path,
+                                                                           capsys):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"model": {"modalities": ["vis"], "active_stages": [5]},
+                                    "train": {"epochs": 1, "batch_size": 2}}))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert "active_stages must be non-empty and within 1..4" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("odd", ["data", "eval-data"])
+def test_train_refuses_a_dataset_of_the_wrong_size_before_anything_is_written(
+        tmp_path, capsys, odd):
+    sizes = {"data": 32, "eval-data": 32, odd: 48}
+    dirs = {flag: save_dataset(generate_synthetic(2, side, side, 5, 2, seed=4),
+                               tmp_path / flag)
+            for flag, side in sizes.items()}
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(dirs["data"]), "--eval-data", str(dirs["eval-data"]),
+                "--out", str(out), "--epochs", "1", "--warmup-epochs", "0",
+                "--batch-size", "2"])
+    assert code == 2
+    assert "dataset images are 48x48, not multiples of 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_refuses_a_dataset_of_the_wrong_size(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)
+    data_dir = save_dataset(generate_synthetic(2, 48, 48, 5, 2, seed=1), tmp_path / "big")
+    out = tmp_path / "metrics"
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(data_dir),
+                "--out", str(out)])
+    assert code == 2
+    assert "dataset images are 48x48, not multiples of 32" in capsys.readouterr().err
+    assert not out.exists()

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from adafuse import training
 from adafuse.initializers import Module
 from adafuse.model import FusionModel, ModelConfig
 from adafuse.tensor import Tensor
@@ -88,13 +89,18 @@ def test_parameters_match_the_golden_list(config, golden):
     assert named == sorted(reachable_tensors(model, {}))
 
 
-def test_benchmark_tracer_installs_and_uninstalls():
-    """``bench/spans.py`` wraps classes' own ``__call__`` and other
-    attributes and reads the tape's node list; every one must exist."""
+def load_bench_spans():
     spec = importlib.util.spec_from_file_location("bench_spans",
                                                   ROOT / "bench" / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_benchmark_tracer_installs_and_uninstalls():
+    """``bench/spans.py`` wraps classes' own ``__call__`` and other
+    attributes and reads the tape's node list; every one must exist."""
+    spans = load_bench_spans()
     originals = {(owner, attr): owner.__dict__[attr]
                  for owner, attr, _ in spans.LAYERS if isinstance(owner, type)}
     tracer = spans.Tracer()
@@ -108,3 +114,26 @@ def test_benchmark_tracer_installs_and_uninstalls():
         tracer.uninstall()
     for (owner, attr), original in originals.items():
         assert owner.__dict__[attr] is original
+
+
+def test_benchmark_tracer_times_every_backward_rule():
+    """The tracer's backward wrappers run inside a training step: backward
+    spans are recorded, and the fused tiny step records 488 tape nodes."""
+    spans = load_bench_spans()
+    model = FusionModel(ModelConfig(preset="tiny", modalities=("vis", "ir"),
+                                    channels=(1, 1), density="pair-bi", bottleneck=8,
+                                    num_classes=5, dtype="float32", seed=0))
+    rng = np.random.default_rng(0)
+    images = {"vis": rng.random((2, 1, 32, 32), dtype=np.float32),
+              "ir": rng.random((2, 1, 32, 32), dtype=np.float32)}
+    labels = rng.integers(0, 5, (2, 32, 32))
+    optimizer = training.AdamW([p for _, p in model.trainable_parameters()], lr=1e-3)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        tracer.step = 0
+        training.train_step(model, images, labels, optimizer, lr=1e-3)
+    finally:
+        tracer.uninstall()
+    assert (tracer.arrays()["origin"] >= 0).any()
+    assert tracer.step_counts[0][0] == 488

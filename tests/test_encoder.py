@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import adafuse as af
+from adafuse.adapters import fused_encode
 from adafuse.encoder import (Attention, Encoder, EncoderConfig, PatchEmbed,
-                             TransformerBlock)
+                             TransformerBlock, tokens_to_map)
 from adafuse.gradcheck import grad_check_params
 from adafuse.tensor import ShapeError
 
@@ -23,6 +24,14 @@ def test_config_presets():
         EncoderConfig.preset("b5")
 
 
+@pytest.mark.parametrize("config,multiple", [
+    (EncoderConfig.preset("tiny"), 32), (EncoderConfig.preset("b2-like"), 32),
+    (EncoderConfig(dims=(8, 8), depths=(1, 1), heads=(1, 1), strides=(2, 3),
+                   sr_ratios=(4, 1)), 24)])  # lcm(2 * 4, 6 * 1)
+def test_size_multiple_tiles_every_stride_and_pooling(config, multiple):
+    assert config.size_multiple == multiple
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(dims=(16, 32), depths=(2,), heads=(1, 1), strides=(4, 2),
@@ -30,6 +39,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         EncoderConfig(dims=(15,), depths=(1,), heads=(2,), strides=(4,),
                       sr_ratios=(1,))
+    with pytest.raises(ValueError, match="positive"):        # no size_multiple of 0
+        EncoderConfig(sr_ratios=(0, 2, 1, 1))
 
 
 # ---------------------------------------------------------------------
@@ -45,7 +56,8 @@ def test_patch_embed_token_count():
 def test_patch_embed_token_counts_across_stages():
     cfg = EncoderConfig.preset("tiny")
     enc = Encoder(cfg, in_channels=3, seed=0)
-    feats = enc(af.Tensor(np.random.default_rng(1).random((1, 3, 64, 64))))
+    img = af.Tensor(np.random.default_rng(1).random((1, 3, 64, 64)))
+    feats = fused_encode([enc], [img], None)[0]
     token_counts = [f.shape[-2] * f.shape[-1] for f in feats]
     assert token_counts == [256, 64, 16, 4]
 
@@ -149,8 +161,8 @@ def test_block_gradient():
 def test_encoder_pyramid_shapes_b2_like():
     enc = Encoder(EncoderConfig.preset("b2-like"), in_channels=3, seed=1,
                   dtype=np.float32)
-    feats = enc(af.Tensor(np.random.default_rng(22).random((1, 3, 64, 64)),
-                          dtype=np.float32))
+    img = af.Tensor(np.random.default_rng(22).random((1, 3, 64, 64)), dtype=np.float32)
+    feats = fused_encode([enc], [img], None)[0]
     shapes = [f.shape for f in feats]
     assert shapes == [(1, 64, 16, 16), (1, 128, 8, 8),
                       (1, 320, 4, 4), (1, 512, 2, 2)]
@@ -159,8 +171,8 @@ def test_encoder_pyramid_shapes_b2_like():
 def test_encoder_eval_forward_is_deterministic():
     enc = Encoder(EncoderConfig.preset("tiny"), in_channels=1, seed=2)
     img = af.Tensor(np.random.default_rng(23).random((1, 1, 32, 32)))
-    a = enc(img)
-    b = enc(img)
+    a = fused_encode([enc], [img], None)[0]
+    b = fused_encode([enc], [img], None)[0]
     for fa, fb in zip(a, b):
         assert np.array_equal(fa.data, fb.data)
 
@@ -168,7 +180,44 @@ def test_encoder_eval_forward_is_deterministic():
 def test_encoder_rejects_bad_spatial_dims():
     enc = Encoder(EncoderConfig.preset("tiny"), in_channels=1, seed=3)
     with pytest.raises(ShapeError):
-        enc(af.Tensor(np.zeros((1, 1, 30, 30))))
+        fused_encode([enc], [af.Tensor(np.zeros((1, 1, 30, 30)))], None)
+
+
+def reference_encode(enc, x, *, rng=None):
+    """The plain per-modality stage loop, written out: each stage's patch
+    embedding, its blocks in order, then its closing layer norm."""
+    feats = []
+    cur = x
+    for s, stage in enumerate(enc.stages):
+        tokens, (h, w) = stage.patch(cur)
+        for blk in stage.blocks:
+            tokens = blk(tokens, h, w, rng=rng)
+        tokens = enc.stage_norm(s, tokens)
+        cur = tokens_to_map(tokens, h, w)
+        feats.append(cur)
+    return feats
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("train", [False, True])
+def test_fused_encode_without_bank_matches_reference_loop(dtype, train):
+    """One encoder and no bank: ``fused_encode`` gives the reference
+    loop's bytes, drop-path masks drawn in the same order included."""
+    cfg = EncoderConfig(drop_path_rate=0.3)
+    enc = Encoder(cfg, in_channels=1, seed=9, dtype=dtype)
+    img = af.Tensor(rng_of(24).random((4, 1, 32, 32)), dtype=dtype)
+
+    def draws():
+        return rng_of(25) if train else None
+
+    ref = reference_encode(enc, img, rng=draws())
+    got = fused_encode([enc], [img], None, rng=draws())[0]
+    assert len(got) == len(ref) == cfg.num_stages
+    for g, r in zip(got, ref):
+        assert g.dtype == r.dtype == dtype
+        assert g.data.tobytes() == r.data.tobytes()
+    plain = reference_encode(enc, img)
+    assert train != all(np.array_equal(r.data, p.data) for r, p in zip(ref, plain))
 
 
 def test_set_trainable_toggles_every_buffer():

@@ -20,6 +20,20 @@ def test_config_validation():
         ModelConfig.from_dict({"preset": "tiny", "nonsense": 1})
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("preset", "huge", "unknown encoder preset 'huge'"),
+    ("active_stages", (5,), "active_stages must be non-empty and within 1..4"),
+    ("active_stages", (), "active_stages must be non-empty and within 1..4"),
+    ("channels", (-1, 1), "channels must be >= 1")])
+def test_config_refuses_what_the_model_cannot_build(key, value, message):
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{key: value})
+    # one modality builds no adapter bank, so only the config can refuse
+    if key == "active_stages":
+        with pytest.raises(ValueError, match=message):
+            ModelConfig(modalities=("vis",), channels=(1,), active_stages=value)
+
+
 @pytest.mark.parametrize("key,value", [("use_ffm", 1), ("bottleneck", True), ("bottleneck", 2.0),
                                        ("drop_path_rate", "0.1"), ("dtype", 32),
                                        ("active_stages", 3), ("active_stages", [3, 4.0])])

@@ -287,7 +287,7 @@ def test_no_grad_suppresses_recording():
     x = t(np.ones(3), rg=True)
     with af.no_grad():
         y = x * 2.0
-    assert y._node is None and not y.requires_grad
+    assert y.backward_fn is None and not y.requires_grad
     assert len(af.active_tape()) == 0
 
 
@@ -308,7 +308,7 @@ def test_no_grad_in_one_thread_leaves_another_recording():
         release.set()
         holder.join(timeout=10)
     assert not holder.is_alive()
-    assert y.requires_grad and y._node is not None
+    assert y.requires_grad and y.backward_fn is not None
     assert len(af.active_tape()) == 1
 
 
@@ -436,8 +436,8 @@ def test_upsample_gradient():
 # ---------------------------------------------------------------------
 
 def rule(out, g=None):
-    """Run the backward rule of the node that produced ``out``."""
-    return out._node.backward_fn(np.ones_like(out.data) if g is None else g)
+    """Run the backward rule of the op that produced ``out``."""
+    return out.backward_fn(np.ones_like(out.data) if g is None else g)
 
 
 def test_matmul_rule_skips_frozen_operand():
@@ -754,21 +754,20 @@ def test_backward_stores_grad_on_leaves_only(monkeypatch):
     images = [rng.random((2, 1, 32, 32)) for _ in range(2)]
     loss = af.tsum(model.forward(images, train=True))
     nodes = list(af.active_tape()._nodes)
-    assert [out._node for out in outputs if out._node is not None] == nodes
+    assert [out for out in outputs if out.backward_fn is not None] == nodes
 
-    # node (or leaf tensor) -> gradient
-    grads = {loss._node: np.ones_like(loss.data)}
+    # tensor -> gradient
+    grads = {loss: np.ones_like(loss.data)}
     for node in reversed(nodes):
         g_out = grads.get(node)
         if g_out is None:
             continue
         for x, g in zip(node.inputs, node.backward_fn(g_out)):
             if g is not None and x.requires_grad:
-                key = x._node or x
-                grads[key] = grads[key] + g if key in grads else g
+                grads[x] = grads[x] + g if x in grads else g
 
     af.backward(loss)
-    assert all(out.grad is None for out in outputs if out._node is not None)
+    assert all(out.grad is None for out in outputs if out.backward_fn is not None)
     leaves = [p for _, p in model.trainable_parameters()]
     assert all(p.grad is not None for p in leaves)
     for p in leaves:

@@ -22,7 +22,6 @@ from adafuse.training import (AdamW, CheckpointError, ConfusionMatrix,
                               evaluate, fit, format_metrics,
                               load_adapter_checkpoint, load_checkpoint, lr_at,
                               save_checkpoint, train_step)
-from adafuse.tensor import Node
 
 
 def tiny_model(seed=0, modalities=("vis", "ir"), use_ffm=False, dtype="float32"):
@@ -326,7 +325,7 @@ def test_step_graph_is_freed_without_the_cycle_collector():
         train_step(model, images, labels, opt, lr=1e-3)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        leaked = sum(isinstance(o, (Node, af.Tensor)) for o in gc.garbage)
+        leaked = sum(isinstance(o, af.Tensor) for o in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
