@@ -175,9 +175,14 @@ def _dataset_channels(dataset, names) -> tuple[int, ...]:
 
 
 def _check_dataset(dataset, config: ModelConfig) -> None:
-    """Refuse a dataset that lacks one of the model's modalities, has
-    another class count or an image size the encoder cannot tile."""
-    _dataset_channels(dataset, config.modalities)
+    """Refuse an empty dataset, one that lacks one of the model's modalities,
+    or one whose channels, class count or image size the model cannot take."""
+    if len(dataset) == 0:
+        raise ConfigError("dataset holds no samples")
+    channels = _dataset_channels(dataset, config.modalities)
+    if channels != config.channels:
+        raise ConfigError(f"dataset channels {dict(zip(config.modalities, channels))}, "
+                          f"the model takes {dict(zip(config.modalities, config.channels))}")
     if dataset.num_classes != config.num_classes:
         raise ConfigError(f"dataset has {dataset.num_classes} classes, the model "
                           f"predicts {config.num_classes}")
@@ -189,8 +194,6 @@ def _check_dataset(dataset, config: ModelConfig) -> None:
 
 def cmd_train(args) -> int:
     dataset = load_dataset(args.data)
-    if len(dataset) == 0:
-        raise ConfigError(f"dataset {args.data!r} holds no samples")
     model_cfg, train_cfg = _resolve_train_configs(args, dataset)
     _check_dataset(dataset, model_cfg)
     eval_set = load_dataset(args.eval_data) if args.eval_data else None

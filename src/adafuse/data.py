@@ -85,6 +85,8 @@ def generate_synthetic(num_samples: int, height: int, width: int,
     is added everywhere and the result clipped to [0, 1]. Fully
     deterministic in ``seed``.
     """
+    if num_samples < 1:
+        raise ValueError(f"need at least one sample, got {num_samples}")
     if num_classes < 3:
         raise ValueError("need background plus at least two foreground classes")
     if num_modalities < 2:

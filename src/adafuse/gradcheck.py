@@ -14,8 +14,7 @@ def relative_error(analytic: float, numeric: float) -> float:
 
 
 def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
-                      h: float = 1e-4, max_coords: Optional[int] = None,
-                      seed: int = 0) -> float:
+                      max_coords: Optional[int] = None, seed: int = 0) -> float:
     """Max relative error between analytic and central-difference grads.
 
     ``f`` is a scalar-valued closure over ``params``; it must be
@@ -36,6 +35,7 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     analytic = [None if p.grad is None else p.grad.copy() for p in params]
     tape.clear()
 
+    h = 1e-4                        # central-difference step
     pick_rng = np.random.default_rng(seed)
     worst = 0.0
     with no_grad():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
@@ -15,6 +16,7 @@ from .initializers import Module
 from .tensor import Tensor, ShapeError, upsample_bilinear
 
 _DTYPES = {"float32": np.float32, "float64": np.float64}
+_FLOAT_MAX = sys.float_info.max
 
 
 class ConfigCodec:
@@ -44,6 +46,12 @@ class ConfigCodec:
         if not _json_typed_like(value, default):
             raise ValueError(f"{cls.section} config key {key!r} holds {value!r}, "
                              f"not of the type of its default {default!r}")
+
+    def check_finite(self) -> None:
+        """Raise ``ValueError`` naming a float field that is inf, NaN or a huge int."""
+        for key, field in self.__dataclass_fields__.items():
+            if isinstance(field.default, float) and not abs(getattr(self, key)) <= _FLOAT_MAX:
+                raise ValueError(f"{self.section} config key {key!r} must be a finite float")
 
 
 def _json_typed_like(value, default) -> bool:
@@ -77,6 +85,7 @@ class ModelConfig(ConfigCodec):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_finite()
         self.modalities = tuple(self.modalities)
         self.channels = tuple(self.channels)
         self.active_stages = tuple(self.active_stages)
@@ -149,29 +158,24 @@ class FusionModel(Module):
         self.rng = np.random.default_rng([config.seed, 999])
 
     # -- inputs ---------------------------------------------------------
-    def _coerce(self, images) -> list:
-        if isinstance(images, dict):
-            missing = [m for m in self.config.modalities if m not in images]
-            if missing:
-                raise ShapeError(f"missing modalities: {missing}")
-            images = [images[m] for m in self.config.modalities]
-        if len(images) != self.config.num_modalities:
-            raise ShapeError(f"model built for {self.config.num_modalities} "
-                             f"modalities, got {len(images)}")
+    def _coerce(self, images: dict) -> list:
+        if not isinstance(images, dict):
+            raise TypeError("images must be a dict from modality name to a "
+                            f"[B, C, H, W] array, not {type(images).__name__}")
+        missing = [m for m in self.config.modalities if m not in images]
+        if missing:
+            raise ShapeError(f"missing modalities: {missing}")
         dtype = self.config.np_dtype()
         out = []
-        for img, ch in zip(images, self.config.channels):
+        for name, ch in zip(self.config.modalities, self.config.channels):
+            img = images[name]
             if isinstance(img, list):       # leading stage maps, see encode
                 out.append([Tensor(np.asarray(f, dtype=dtype)) for f in img])
                 continue
-            t = img if isinstance(img, Tensor) else Tensor(np.asarray(img, dtype=dtype))
-            if t.dtype != dtype:
-                t = Tensor(t.data.astype(dtype), requires_grad=t.requires_grad)
-            if t.ndim == 3:
-                t = Tensor(t.data[None], requires_grad=t.requires_grad)
-            if t.ndim != 4 or t.shape[1] != ch:
-                raise ShapeError(f"expected [B, {ch}, H, W] image, got {t.shape}")
-            out.append(t)
+            arr = np.asarray(img, dtype=dtype)
+            if arr.ndim != 4 or arr.shape[1] != ch:
+                raise ShapeError(f"expected [B, {ch}, H, W] image, got {arr.shape}")
+            out.append(Tensor(arr))
         return out
 
     # -- forward ---------------------------------------------------------
@@ -189,18 +193,18 @@ class FusionModel(Module):
             return 0
         return n
 
-    def encode(self, images, train: bool = False,
+    def encode(self, images: dict, train: bool = False,
                stages: Optional[int] = None) -> list[list[Tensor]]:
         """Per-modality feature pyramids (stitched in active stages).
 
-        A modality may be given as the list of its first k stage maps
-        (arrays) instead of its image; encoding then starts at stage k + 1.
-        ``stages`` stops after that many stages."""
+        ``images`` maps each modality name to a [B, C, H, W] array, or to the
+        list of its first k stage maps (arrays), from which encoding starts at
+        stage k + 1. ``stages`` stops after that many stages."""
         xs = self._coerce(images)
         return fused_encode(self.encoders, xs, self.bank,
                             rng=self.rng if train else None, stages=stages)
 
-    def forward(self, images, train: bool = False) -> Tensor:
+    def forward(self, images: dict, train: bool = False) -> Tensor:
         """Class logits on the finest feature grid [B, K, H/s1, W/s1]."""
         pyramids = self.encode(images, train)
         merged = []
@@ -210,9 +214,7 @@ class FusionModel(Module):
             merged.append(modal_merge(feats, ffm_stage))
         return self.decoder(merged)
 
-    __call__ = forward
-
-    def logits_at(self, images, out_h: int, out_w: int, train: bool = False) -> Tensor:
+    def logits_at(self, images: dict, out_h: int, out_w: int, train: bool = False) -> Tensor:
         """Logits bilinearly upsampled to the label resolution."""
         logits = self.forward(images, train)
         if logits.shape[-2:] != (out_h, out_w):

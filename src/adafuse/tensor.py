@@ -30,6 +30,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 from scipy.special import erf
 
+LAYER_NORM_EPS = 1e-6
+
 
 class ShapeError(ValueError):
     """Raised when operand shapes violate an operation's contract."""
@@ -80,8 +82,8 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "inputs", "backward_fn")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data)
         if arr.dtype.kind != "f":
             arr = arr.astype(np.float64)
         self._fill(arr, requires_grad)
@@ -402,7 +404,7 @@ def log_softmax(x: Tensor) -> Tensor:
     return _make(out, (x,), bwd)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Zero-mean unit-variance over the last axis, then affine."""
     d = x.shape[-1]
     if gamma.shape != (d,) or beta.shape != (d,):
@@ -418,7 +420,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-6) -> Ten
     mu = mean_last(x.data)
     centered = x.data - mu
     var = mean_last(centered * centered)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
@@ -471,26 +473,20 @@ def drop_path(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None)
 # reductions and shape ops
 # ---------------------------------------------------------------------
 
-def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = x.data.sum(axis=axis, keepdims=keepdims)
+def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
+    out = x.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
-        g_exp = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(g_exp, x.shape).astype(x.dtype, copy=True),)
+        if axis is not None:
+            g = np.expand_dims(g, axis)
+        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
 
     return _make(out, (x,), bwd)
 
 
-def tmean(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = x.size
-    elif isinstance(axis, int):
-        n = x.shape[axis]
-    else:
-        n = int(np.prod([x.shape[a] for a in axis]))
-    return mul(tsum(x, axis=axis, keepdims=keepdims), 1.0 / n)
+def tmean(x: Tensor, axis: Optional[int] = None) -> Tensor:
+    n = x.size if axis is None else x.shape[axis]
+    return mul(tsum(x, axis=axis), 1.0 / n)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -42,6 +42,7 @@ class TrainConfig(ConfigCodec):
     seed: int = 0
 
     def __post_init__(self):
+        self.check_finite()
         if not 0.0 < self.decay_factor <= 1.0:
             raise ValueError("decay_factor must be in (0, 1]")
         if self.warmup_epochs > self.epochs:
@@ -283,15 +284,15 @@ def evaluate(model: FusionModel, dataset: SceneDataset, batch_size: int = 8) -> 
     }
 
 
-def format_metrics(metrics: dict, method: str = "adafuse") -> tuple[str, str]:
-    """(JSON record, per-class CSV row in the appendix-table layout)."""
+def format_metrics(metrics: dict) -> tuple[str, str]:
+    """(JSON record, per-class CSV row of method ``adafuse`` in the appendix-table layout)."""
     record = dict(metrics)
     record["miou_percent"] = None if math.isnan(metrics["miou"]) \
         else round(metrics["miou"] * 100.0, 2)
     text = json.dumps(record, indent=1)
     k = metrics["num_classes"]
     header = ["method"] + [f"class_{c}" for c in range(k)] + ["mIoU(%)"]
-    cells = [method]
+    cells = ["adafuse"]
     for v in metrics["per_class_iou"]:
         cells.append("" if v is None else f"{v * 100.0:.2f}")
     cells.append("" if record["miou_percent"] is None else f"{record['miou_percent']:.2f}")
@@ -353,16 +354,11 @@ def _load_blobs_into(model: FusionModel, manifest: dict, directory,
                                   f"(first: {missing[0]!r})")
 
 
-def load_checkpoint(directory, expect_config: Optional[ModelConfig] = None) -> FusionModel:
+def load_checkpoint(directory) -> FusionModel:
     """Rebuild the model from a full checkpoint directory."""
     manifest = read_manifest(directory, "checkpoint", CheckpointError)
     with manifest_fields(CheckpointError):
         config = ModelConfig.from_dict(manifest["model_config"])
-    if expect_config is not None and config.to_dict() != expect_config.to_dict():
-        raise CheckpointError(
-            "checkpoint config does not match the expected config "
-            f"(checkpoint modalities {config.modalities}, "
-            f"expected {expect_config.modalities})")
     model = FusionModel(config)
     _load_blobs_into(model, manifest, directory, allow_partial=False)
     return model

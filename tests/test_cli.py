@@ -1,7 +1,9 @@
 """CLI surface: commands, exit codes, artifacts."""
 
 import json
+import math
 
+import numpy as np
 import pytest
 
 from adafuse.cli import _resolve_train_configs, build_parser, main
@@ -52,11 +54,14 @@ def test_grad_check_single_seed_exits_zero(capsys):
     assert "PASSED" in out and "end_to_end" in out
 
 
-def test_train_rejects_empty_dataset(tmp_path, capsys):
+def empty_dataset(path):
     ds = generate_synthetic(2, 32, 32, 5, 2, seed=0)
     ds.samples = []
-    save_dataset(ds, tmp_path / "empty")
-    code = run(["train", "--data", str(tmp_path / "empty"),
+    return save_dataset(ds, path)
+
+
+def test_train_rejects_empty_dataset(tmp_path, capsys):
+    code = run(["train", "--data", str(empty_dataset(tmp_path / "empty")),
                 "--out", str(tmp_path / "run")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
@@ -317,7 +322,10 @@ def test_config_file_string_for_a_tuple_field_is_a_type_error(tmp_path, capsys):
 OUT_OF_RANGE = [("train", "base_lr", -1.0), ("train", "warmup_epochs", -2.0),
                 ("train", "weight_decay", -0.1), ("train", "beta1", 1.5),
                 ("train", "beta2", 1.0), ("train", "eps", 0.0), ("train", "seed", -1),
-                ("model", "adapter_dropout", 1.0), ("model", "drop_path_rate", -0.5)]
+                ("model", "adapter_dropout", 1.0), ("model", "drop_path_rate", -0.5),
+                ("train", "base_lr", math.inf), ("train", "weight_decay", math.inf),
+                ("train", "eps", math.inf), ("train", "warmup_epochs", math.nan),
+                ("model", "drop_path_rate", -math.inf)]
 
 
 @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
@@ -442,4 +450,85 @@ def test_eval_refuses_a_dataset_of_the_wrong_size(tmp_path, capsys):
                 "--out", str(out)])
     assert code == 2
     assert "dataset images are 48x48, not multiples of 32" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def three_channel_vis_dataset(path):
+    ds = generate_synthetic(2, 32, 32, 5, 2, seed=5)
+    for sample in ds.samples:
+        sample.images["vis"] = np.repeat(sample.images["vis"], 3, axis=0)
+    ds.modalities = [("vis", 3), ("ir", 1)]
+    return save_dataset(ds, path)
+
+
+@pytest.mark.parametrize("make,message", [
+    (empty_dataset, "dataset holds no samples"),
+    (three_channel_vis_dataset,
+     "dataset channels {'vis': 3, 'ir': 1}, the model takes {'vis': 1, 'ir': 1}")],
+    ids=["empty", "3-channel-vis"])
+def test_train_refuses_an_eval_dataset_it_cannot_score_before_anything_is_written(
+        tmp_path, capsys, make, message):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), tmp_path / "ds")
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                "--warmup-epochs", "0", "--batch-size", "2",
+                "--eval-data", str(make(tmp_path / "eval"))])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("make,message", [
+    (empty_dataset, "dataset holds no samples"),
+    (three_channel_vis_dataset, "dataset channels {'vis': 3, 'ir': 1}")],
+    ids=["empty", "3-channel-vis"])
+def test_eval_refuses_a_dataset_it_cannot_score(tmp_path, capsys, make, message):
+    dirs = eval_inputs(tmp_path)
+    out = tmp_path / "metrics"
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]),
+                "--data", str(make(tmp_path / "eval")), "--out", str(out)])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags,file_lr", [(["--lr", "inf"], 1e-3), ([], 10 ** 400)],
+                         ids=["flag-inf", "file-int-beyond-float"])
+def test_base_lr_beyond_the_float_range_is_refused_before_anything_is_written(
+        tmp_path, capsys, flags, file_lr):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"train": {"base_lr": file_lr}}))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                "--warmup-epochs", "0", "--batch-size", "2", "--config", str(cfg_file),
+                *flags])
+    assert code == 2
+    assert "train config key 'base_lr' must be a finite float" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_eval_checkpoint_config_value_not_finite_is_io_error(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)
+    path = dirs["checkpoint"] / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest["model_config"]["adapter_dropout"] = math.nan
+    path.write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
+    assert code == 3
+    assert "model config key 'adapter_dropout' must be a finite float" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_grad_check_with_no_seeds_is_a_config_error(capsys, seeds):
+    assert run(["grad-check", "--seeds", seeds]) == 2
+    err = capsys.readouterr().err
+    assert "at least one seed" in err
+
+
+@pytest.mark.parametrize("samples", ["0", "-1"])
+def test_synth_data_with_no_samples_is_a_config_error(tmp_path, capsys, samples):
+    out = tmp_path / "ds"
+    assert run(["synth-data", "--out", str(out), "--samples", samples]) == 2
+    assert "need at least one sample" in capsys.readouterr().err
     assert not out.exists()

@@ -108,7 +108,7 @@ def test_benchmark_tracer_installs_and_uninstalls():
     try:
         model = FusionModel(ModelConfig(preset="tiny", bottleneck=2, dtype="float32"))
         rng = np.random.default_rng(0)
-        model({"vis": rng.random((1, 1, 32, 32)), "ir": rng.random((1, 1, 32, 32))})
+        model.forward({"vis": rng.random((1, 1, 32, 32)), "ir": rng.random((1, 1, 32, 32))})
         assert "encoder.attention" in tracer.names
     finally:
         tracer.uninstall()

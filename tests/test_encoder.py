@@ -161,7 +161,7 @@ def test_block_gradient():
 def test_encoder_pyramid_shapes_b2_like():
     enc = Encoder(EncoderConfig.preset("b2-like"), in_channels=3, seed=1,
                   dtype=np.float32)
-    img = af.Tensor(np.random.default_rng(22).random((1, 3, 64, 64)), dtype=np.float32)
+    img = af.Tensor(np.random.default_rng(22).random((1, 3, 64, 64)).astype(np.float32))
     feats = fused_encode([enc], [img], None)[0]
     shapes = [f.shape for f in feats]
     assert shapes == [(1, 64, 16, 16), (1, 128, 8, 8),
@@ -205,7 +205,7 @@ def test_fused_encode_without_bank_matches_reference_loop(dtype, train):
     loop's bytes, drop-path masks drawn in the same order included."""
     cfg = EncoderConfig(drop_path_rate=0.3)
     enc = Encoder(cfg, in_channels=1, seed=9, dtype=dtype)
-    img = af.Tensor(rng_of(24).random((4, 1, 32, 32)), dtype=dtype)
+    img = af.Tensor(rng_of(24).random((4, 1, 32, 32)).astype(dtype))
 
     def draws():
         return rng_of(25) if train else None

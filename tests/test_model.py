@@ -63,19 +63,23 @@ def test_single_modality_model_has_no_bank():
     model = FusionModel(ModelConfig(modalities=("solo",), channels=(1,),
                                     num_classes=3, dtype="float32"))
     assert model.bank is None
-    logits = model.forward([np.random.default_rng(0).random((1, 1, 32, 32))])
+    logits = model.forward({"solo": np.random.default_rng(0).random((1, 1, 32, 32))})
     assert logits.shape == (1, 3, 8, 8)
 
 
-def test_forward_accepts_dict_list_and_unbatched():
+def test_forward_takes_a_dict_of_batches_only():
     model = FusionModel(ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
                                     num_classes=3, dtype="float32", seed=1))
     rng = np.random.default_rng(1)
     vis, ir = rng.random((1, 1, 32, 32)), rng.random((1, 1, 32, 32))
     a = model.forward({"ir": ir, "vis": vis}).data
-    b = model.forward([vis, ir]).data
-    c = model.forward([vis[0], ir[0]]).data       # 3-d, auto-batched
-    assert np.array_equal(a, b) and np.array_equal(a, c)
+    b = model.forward({"vis": vis, "ir": ir, "extra": vis}).data
+    assert np.array_equal(a, b)
+    with pytest.raises(TypeError, match="dict from modality name"):
+        model.forward([vis, ir])
+    with pytest.raises(af.ShapeError, match=r"expected \[B, 1, H, W\] image"):
+        model.forward({"vis": vis[0], "ir": ir[0]})
+    assert not callable(model)
 
 
 def test_forward_rejects_missing_or_misshapen_modalities():
@@ -85,13 +89,13 @@ def test_forward_rejects_missing_or_misshapen_modalities():
     with pytest.raises(af.ShapeError, match="missing"):
         model.forward({"vis": rng.random((1, 1, 32, 32))})
     with pytest.raises(af.ShapeError):
-        model.forward([rng.random((1, 2, 32, 32)), rng.random((1, 1, 32, 32))])
+        model.forward({"vis": rng.random((1, 2, 32, 32)), "ir": rng.random((1, 1, 32, 32))})
 
 
 def test_logits_at_upsamples_to_label_resolution():
     model = FusionModel(ModelConfig(modalities=("vis",), channels=(1,),
                                     num_classes=3, dtype="float32"))
-    out = model.logits_at([np.random.default_rng(3).random((1, 1, 32, 32))], 32, 32)
+    out = model.logits_at({"vis": np.random.default_rng(3).random((1, 1, 32, 32))}, 32, 32)
     assert out.shape == (1, 3, 32, 32)
 
 

@@ -751,7 +751,7 @@ def test_backward_stores_grad_on_leaves_only(monkeypatch):
                                           bottleneck=4, num_classes=3,
                                           dtype="float32", seed=5))
     rng = np.random.default_rng(5)
-    images = [rng.random((2, 1, 32, 32)) for _ in range(2)]
+    images = {name: rng.random((2, 1, 32, 32)) for name in ("vis", "ir")}
     loss = af.tsum(model.forward(images, train=True))
     nodes = list(af.active_tape()._nodes)
     assert [out for out in outputs if out.backward_fn is not None] == nodes

@@ -20,11 +20,11 @@ def test_primitive_checks_cover_every_op_family():
 def test_composite_checks_single_seed():
     assert adapter_check(seed=1) < 1e-4
     assert fused_block_check(seed=1) < 1e-4
-    assert end_to_end_check(seed=1, max_coords=2) < 1e-4
+    assert end_to_end_check(seed=1) < 1e-4
 
 
 def test_gradient_suite_report_shape():
-    report = gradient_suite(seeds=[5], tol=1e-4, e2e_coords=2)
+    report = gradient_suite(seeds=[5], tol=1e-4)
     assert report["passed"] and report["seeds"] == [5]
     assert {"adapter", "fused_block", "end_to_end"} <= set(report["checks"])
 
