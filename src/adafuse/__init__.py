@@ -20,8 +20,8 @@ from .data import (IGNORE_INDEX, DatasetError, MultimodalSample, SceneDataset,
                    stack_batch)
 from .training import (AdamW, CheckpointError, ConfusionMatrix, TrainConfig,
                        TrainingError, cross_entropy, evaluate, fit,
-                       format_metrics, load_adapter_checkpoint,
-                       load_checkpoint, lr_at, save_checkpoint, train_step)
+                       format_metrics, load_checkpoint, lr_at,
+                       save_checkpoint, train_step)
 from .verification import check_density_equivalence
 
 __version__ = "0.1.0"

@@ -175,10 +175,12 @@ def _dataset_channels(dataset, names) -> tuple[int, ...]:
 
 
 def _check_dataset(dataset, config: ModelConfig) -> None:
-    """Refuse an empty dataset, one that lacks one of the model's modalities,
-    or one whose channels, class count or image size the model cannot take."""
+    """Refuse a dataset with no sample or no labeled pixel, one that lacks a
+    model modality, or one whose channels, classes or image size it cannot take."""
     if len(dataset) == 0:
         raise ConfigError("dataset holds no samples")
+    if all((s.label == dataset.ignore_index).all() for s in dataset.samples):
+        raise ConfigError(f"dataset holds no labeled pixel, only {dataset.ignore_index}")
     channels = _dataset_channels(dataset, config.modalities)
     if channels != config.channels:
         raise ConfigError(f"dataset channels {dict(zip(config.modalities, channels))}, "
@@ -190,6 +192,13 @@ def _check_dataset(dataset, config: ModelConfig) -> None:
     if dataset.height % multiple or dataset.width % multiple:
         raise ConfigError(f"dataset images are {dataset.height}x{dataset.width}, not "
                           f"multiples of {multiple} as the {config.preset} encoder needs")
+
+
+def _write_metrics(out: Path, metrics: dict) -> None:
+    text, csv = format_metrics(metrics)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "metrics.json").write_text(text, encoding="utf-8")
+    (out / "per_class.csv").write_text(csv, encoding="utf-8")
 
 
 def cmd_train(args) -> int:
@@ -208,23 +217,21 @@ def cmd_train(args) -> int:
     (out / "config.json").write_text(json.dumps(resolved, indent=1),
                                      encoding="utf-8")
 
-    log_lines = ["epoch,mean_loss,lr"]
+    with open(out / "train_log.csv", "w", encoding="utf-8") as train_log:
+        train_log.write("epoch,mean_loss,lr\n")
 
-    def log(entry):
-        line = f"{entry['epoch']},{entry['mean_loss']:.6f},{entry['lr']:.3e}"
-        log_lines.append(line)
-        print(f"epoch {entry['epoch']:>3}  loss {entry['mean_loss']:.4f}")
+        def log(entry):
+            train_log.write(f"{entry['epoch']},{entry['mean_loss']:.6f},{entry['lr']:.3e}\n")
+            train_log.flush()
+            print(f"epoch {entry['epoch']:>3}  loss {entry['mean_loss']:.4f}")
 
-    fit(model, dataset, train_cfg, log=log)
-    (out / "train_log.csv").write_text("\n".join(log_lines) + "\n", encoding="utf-8")
+        fit(model, dataset, train_cfg, log=log)
     save_checkpoint(model, out / "checkpoint")
     print(f"checkpoint written to {out / 'checkpoint'}")
 
     if eval_set is not None:
         metrics = evaluate(model, eval_set)
-        text, csv = format_metrics(metrics)
-        (out / "metrics.json").write_text(text, encoding="utf-8")
-        (out / "per_class.csv").write_text(csv, encoding="utf-8")
+        _write_metrics(out, metrics)
         print(f"mIoU {metrics['miou'] * 100.0:.2f}%")
     return OK
 
@@ -234,15 +241,11 @@ def cmd_eval(args) -> int:
     dataset = load_dataset(args.data)
     _check_dataset(dataset, model.config)
     metrics = evaluate(model, dataset)
-    text, csv = format_metrics(metrics)
-    print(csv.strip())
+    print(format_metrics(metrics)[1].strip())
     print(f"mIoU {metrics['miou'] * 100.0:.2f}%  "
           f"pixel-acc {metrics['pixel_accuracy'] * 100.0:.2f}%")
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        (out / "metrics.json").write_text(text, encoding="utf-8")
-        (out / "per_class.csv").write_text(csv, encoding="utf-8")
+        _write_metrics(Path(args.out), metrics)
     return OK
 
 

@@ -27,9 +27,6 @@ import numpy as np
 FORMAT_VERSION = 1
 IGNORE_INDEX = 255
 MANIFEST = "manifest.json"
-# manifest kind -> what error messages call it
-_KINDS = {"dataset": "dataset", "checkpoint": "full checkpoint",
-          "checkpoint-adapters": "adapters-only checkpoint"}
 
 
 class DatasetError(ValueError):
@@ -214,7 +211,7 @@ def read_manifest(directory, kind: str,
         raise error(f"unsupported manifest version {manifest.get('version')!r}, "
                     f"this reader handles {FORMAT_VERSION}")
     if manifest.get("kind") != kind:
-        raise error(f"manifest kind {manifest.get('kind')!r} is not a {_KINDS[kind]}")
+        raise error(f"manifest kind {manifest.get('kind')!r} is not a {kind}")
     return manifest
 
 

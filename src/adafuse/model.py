@@ -231,6 +231,3 @@ class FusionModel(Module):
 
     def trainable_parameters(self) -> list[tuple[str, Tensor]]:
         return [(n, p) for n, p in self.named_parameters() if p.requires_grad]
-
-    def frozen_parameters(self) -> list[tuple[str, Tensor]]:
-        return [(n, p) for n, p in self.named_parameters() if not p.requires_grad]

@@ -304,33 +304,28 @@ def format_metrics(metrics: dict) -> tuple[str, str]:
 # checkpoints
 # ---------------------------------------------------------------------
 
-def save_checkpoint(model: FusionModel, directory, include: str = "all") -> Path:
-    """Serialize configs + parameter buffers (bit-exact blobs).
-
-    ``include='adapters'`` writes only the adapter bank, producing a
-    partial checkpoint loadable onto a model with a matching backbone.
-    """
+def save_checkpoint(model: FusionModel, directory) -> Path:
+    """Serialize configs + parameter buffers (bit-exact blobs)."""
     named = list(model.named_parameters())
-    if include == "adapters":
-        named = [(n, p) for n, p in named if n.startswith("adapters.")]
-    elif include != "all":
-        raise ValueError(f"unknown include filter {include!r}")
     blob_dtype = _BLOB_DTYPES[model.config.dtype]
     records = [{"name": name, "path": f"p{i:05d}.bin", "shape": list(p.shape)}
                for i, (name, p) in enumerate(named)]
     blobs = [(rec["path"], p.data.astype(blob_dtype, copy=False))
              for rec, (_, p) in zip(records, named)]
-    kind = "checkpoint" if include == "all" else "checkpoint-adapters"
-    return write_store(directory, kind, {"model_config": model.config.to_dict(),
-                                         "blob_dtype": blob_dtype,
-                                         "params": records}, blobs)
+    return write_store(directory, "checkpoint", {"model_config": model.config.to_dict(),
+                                                 "blob_dtype": blob_dtype,
+                                                 "params": records}, blobs)
 
 
-def _load_blobs_into(model: FusionModel, manifest: dict, directory,
-                     allow_partial: bool) -> None:
-    lookup = dict(model.named_parameters())
+def load_checkpoint(directory) -> FusionModel:
+    """Rebuild the model from a checkpoint directory, whose records must
+    name each of its parameters once, with its shape."""
+    manifest = read_manifest(directory, "checkpoint", CheckpointError)
     root = Path(directory)
-    seen = set()
+    with manifest_fields(CheckpointError):
+        config = ModelConfig.from_dict(manifest["model_config"])
+    model = FusionModel(config)
+    lookup = dict(model.named_parameters())
     with manifest_fields(CheckpointError):
         dtype = manifest["blob_dtype"]
         if dtype not in _BLOB_DTYPES.values():
@@ -340,31 +335,13 @@ def _load_blobs_into(model: FusionModel, manifest: dict, directory,
             if name not in lookup:
                 raise CheckpointError(f"checkpoint parameter {name!r} has no "
                                       f"counterpart in the model")
-            p = lookup[name]
+            p = lookup.pop(name)
             shape = tuple(int(s) for s in rec["shape"])
             if shape != p.shape:
                 raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
                                       f"{shape}, model {p.shape}")
             p.data[...] = read_blob(root, rec, dtype, CheckpointError)
-            seen.add(name)
-    if not allow_partial:
-        missing = [n for n in lookup if n not in seen]
-        if missing:
-            raise CheckpointError(f"checkpoint omits {len(missing)} parameters "
-                                  f"(first: {missing[0]!r})")
-
-
-def load_checkpoint(directory) -> FusionModel:
-    """Rebuild the model from a full checkpoint directory."""
-    manifest = read_manifest(directory, "checkpoint", CheckpointError)
-    with manifest_fields(CheckpointError):
-        config = ModelConfig.from_dict(manifest["model_config"])
-    model = FusionModel(config)
-    _load_blobs_into(model, manifest, directory, allow_partial=False)
+    if lookup:
+        raise CheckpointError(f"checkpoint omits {len(lookup)} parameters "
+                              f"(first: {next(iter(lookup))!r})")
     return model
-
-
-def load_adapter_checkpoint(model: FusionModel, directory) -> None:
-    """Load an adapters-only checkpoint onto a matching backbone."""
-    manifest = read_manifest(directory, "checkpoint-adapters", CheckpointError)
-    _load_blobs_into(model, manifest, directory, allow_partial=True)

@@ -130,15 +130,17 @@ def test_criterion_5_frozen_encoder_after_100_steps():
         preset="tiny", modalities=("vis", "ir"), channels=(1, 1),
         density="pair-bi", bottleneck=4, use_ffm=True, num_classes=5,
         dtype="float32", seed=50))
-    frozen_before = {n: p.data.tobytes() for n, p in model.frozen_parameters()}
+    frozen_before = {n: p.data.tobytes() for n, p in model.named_parameters()
+                     if not p.requires_grad}
     groups_before = {grp: {n: p.data.tobytes() for n, p in
                            model.trainable_parameters() if n.startswith(grp)}
                      for grp in ("adapters.", "ffm.", "decoder.")}
     # 16 samples / batch 8 = 2 steps per epoch -> 50 epochs = 100 steps
     fit(model, ds, TrainConfig(base_lr=1e-3, warmup_epochs=5, epochs=50,
                                batch_size=8, seed=50))
-    frozen_after = {n: p.data.tobytes() for n, p in model.frozen_parameters()}
-    encoder_ok = frozen_before == frozen_after
+    frozen_after = {n: p.data.tobytes() for n, p in model.named_parameters()
+                    if not p.requires_grad}
+    encoder_ok = bool(frozen_before) and frozen_before == frozen_after
     changed_ok = True
     for grp, before in groups_before.items():
         changed = sum(before[n] != p.data.tobytes()

@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from adafuse import training
 from adafuse.cli import _resolve_train_configs, build_parser, main
 from adafuse.data import generate_synthetic, load_dataset, save_dataset
 from adafuse.model import FusionModel, ModelConfig
-from adafuse.training import save_checkpoint
+from adafuse.training import TrainingError, save_checkpoint
 
 
 def run(argv):
@@ -139,6 +140,26 @@ def test_eval_manifest_missing_field_is_io_error(tmp_path, capsys, target, field
     assert "i/o error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit,message", [
+    (lambda m: m.update(blob_dtype="<f2"), "unsupported blob dtype '<f2'"),
+    (lambda m: m["params"][0].update(name="encoder.sonar.cls_w"),
+     "checkpoint parameter 'encoder.sonar.cls_w' has no counterpart in the model"),
+    (lambda m: m["params"][0].update(shape=[3, 5, 7]), "checkpoint (3, 5, 7), model"),
+    (lambda m: m["params"].pop(), "checkpoint omits 1 parameters (first: 'decoder."),
+    (None, "manifest kind 'dataset' is not a checkpoint")],
+    ids=["blob-dtype", "unknown-name", "shape", "omits", "dataset-dir"])
+def test_eval_refuses_a_checkpoint_that_does_not_fit_its_model(tmp_path, capsys,
+                                                               edit, message):
+    dirs = eval_inputs(tmp_path)
+    checkpoint = dirs["checkpoint"] if edit else dirs["data"]
+    if edit:
+        manifest = json.loads((checkpoint / "manifest.json").read_text())
+        edit(manifest)
+        (checkpoint / "manifest.json").write_text(json.dumps(manifest))
+    code = run(["eval", "--checkpoint", str(checkpoint), "--data", str(dirs["data"])])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
 def test_unknown_flag_is_an_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["param-count", "--frobnicate"])
@@ -171,6 +192,30 @@ def test_train_eval_cycle_writes_artifacts(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "mIoU" in out
 
+
+
+def test_train_log_keeps_the_finished_epochs_when_training_aborts(tmp_path, capsys,
+                                                                  monkeypatch):
+    data_dir = save_dataset(generate_synthetic(8, 32, 32, 5, 2, seed=1), tmp_path / "ds")
+    real_step, calls = training.train_step, []
+
+    def step_failing_in_epoch_2(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:            # 8 samples / batch 4: epoch 2's first step
+            raise TrainingError("non-finite loss nan at optimizer step 5")
+        return real_step(*args, **kwargs)
+
+    monkeypatch.setattr(training, "train_step", step_failing_in_epoch_2)
+    run_dir = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(run_dir),
+                "--epochs", "6", "--batch-size", "4", "--warmup-epochs", "0",
+                "--stages", "3,4", "--r", "2"])
+    assert code == 1
+    assert "training aborted" in capsys.readouterr().err
+    rows = (run_dir / "train_log.csv").read_text().splitlines()
+    assert rows[0] == "epoch,mean_loss,lr"
+    assert [row.split(",")[0] for row in rows[1:]] == ["0", "1"]
+    assert not (run_dir / "checkpoint").exists()
 
 def test_config_file_with_flag_overrides(tmp_path):
     data_dir = tmp_path / "ds"
@@ -453,6 +498,13 @@ def test_eval_refuses_a_dataset_of_the_wrong_size(tmp_path, capsys):
     assert not out.exists()
 
 
+def unlabeled_dataset(path):
+    ds = generate_synthetic(2, 32, 32, 5, 2, seed=5)
+    for sample in ds.samples:
+        sample.label[...] = 255
+    return save_dataset(ds, path)
+
+
 def three_channel_vis_dataset(path):
     ds = generate_synthetic(2, 32, 32, 5, 2, seed=5)
     for sample in ds.samples:
@@ -463,9 +515,10 @@ def three_channel_vis_dataset(path):
 
 @pytest.mark.parametrize("make,message", [
     (empty_dataset, "dataset holds no samples"),
+    (unlabeled_dataset, "dataset holds no labeled pixel, only 255"),
     (three_channel_vis_dataset,
      "dataset channels {'vis': 3, 'ir': 1}, the model takes {'vis': 1, 'ir': 1}")],
-    ids=["empty", "3-channel-vis"])
+    ids=["empty", "unlabeled", "3-channel-vis"])
 def test_train_refuses_an_eval_dataset_it_cannot_score_before_anything_is_written(
         tmp_path, capsys, make, message):
     data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=1), tmp_path / "ds")
@@ -480,8 +533,9 @@ def test_train_refuses_an_eval_dataset_it_cannot_score_before_anything_is_writte
 
 @pytest.mark.parametrize("make,message", [
     (empty_dataset, "dataset holds no samples"),
+    (unlabeled_dataset, "dataset holds no labeled pixel, only 255"),
     (three_channel_vis_dataset, "dataset channels {'vis': 3, 'ir': 1}")],
-    ids=["empty", "3-channel-vis"])
+    ids=["empty", "unlabeled", "3-channel-vis"])
 def test_eval_refuses_a_dataset_it_cannot_score(tmp_path, capsys, make, message):
     dirs = eval_inputs(tmp_path)
     out = tmp_path / "metrics"
@@ -491,6 +545,25 @@ def test_eval_refuses_a_dataset_it_cannot_score(tmp_path, capsys, make, message)
     assert message in capsys.readouterr().err
     assert not out.exists()
 
+
+
+def test_partly_labeled_datasets_train_and_score_to_strict_json(tmp_path):
+    ds = generate_synthetic(2, 32, 32, 5, 2, seed=6)
+    ds.samples[0].label[...] = 255
+    ds.samples[1].label[:, :16] = 255
+    data_dir = save_dataset(ds, tmp_path / "ds")
+    run_dir = tmp_path / "run"
+    assert run(["train", "--data", str(data_dir), "--out", str(run_dir),
+                "--epochs", "1", "--batch-size", "2", "--warmup-epochs", "0",
+                "--stages", "3,4", "--r", "2", "--eval-data", str(data_dir)]) == 0
+    assert run(["eval", "--checkpoint", str(run_dir / "checkpoint"),
+                "--data", str(data_dir), "--out", str(tmp_path / "metrics")]) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    for metrics in (run_dir / "metrics.json", tmp_path / "metrics" / "metrics.json"):
+        record = json.loads(metrics.read_text(), parse_constant=refuse)
+        assert 0.0 <= record["miou"] <= 1.0
 
 @pytest.mark.parametrize("flags,file_lr", [(["--lr", "inf"], 1e-3), ([], 10 ** 400)],
                          ids=["flag-inf", "file-int-beyond-float"])

@@ -102,7 +102,7 @@ def test_logits_at_upsamples_to_label_resolution():
 def test_encoder_params_frozen_and_adapters_trainable():
     model = FusionModel(ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
                                     num_classes=3, dtype="float32"))
-    names_frozen = {n for n, _ in model.frozen_parameters()}
+    names_frozen = {n for n, p in model.named_parameters() if not p.requires_grad}
     names_train = {n for n, _ in model.trainable_parameters()}
     assert all(n.startswith("encoder.") for n in names_frozen)
     assert any(n.startswith("adapters.") for n in names_train)

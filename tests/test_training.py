@@ -19,9 +19,8 @@ from adafuse.encoder import Encoder, PatchEmbed, TransformerBlock
 from adafuse.gradcheck import grad_check_params
 from adafuse.training import (AdamW, CheckpointError, ConfusionMatrix,
                               TrainConfig, TrainingError, cross_entropy,
-                              evaluate, fit, format_metrics,
-                              load_adapter_checkpoint, load_checkpoint, lr_at,
-                              save_checkpoint, train_step)
+                              evaluate, fit, format_metrics, load_checkpoint,
+                              lr_at, save_checkpoint, train_step)
 
 
 def tiny_model(seed=0, modalities=("vis", "ir"), use_ffm=False, dtype="float32"):
@@ -258,12 +257,14 @@ def test_encoders_frozen_through_training_steps():
     ds = tiny_dataset(n=4, seed=2)
     images, labels = stack_batch(ds.samples, model.config.modalities)
     opt = AdamW([p for _, p in model.trainable_parameters()], lr=1e-3)
-    frozen_before = {n: p.data.tobytes() for n, p in model.frozen_parameters()}
+    frozen_before = {n: p.data.tobytes() for n, p in model.named_parameters()
+                     if not p.requires_grad}
     train_before = {n: p.data.tobytes() for n, p in model.trainable_parameters()}
     for _ in range(10):
         train_step(model, images, labels, opt, lr=1e-3)
-    frozen_after = {n: p.data.tobytes() for n, p in model.frozen_parameters()}
-    assert frozen_before == frozen_after
+    frozen_after = {n: p.data.tobytes() for n, p in model.named_parameters()
+                    if not p.requires_grad}
+    assert frozen_before and frozen_before == frozen_after
     changed = sum(train_before[n] != p.data.tobytes()
                   for n, p in model.trainable_parameters())
     assert changed > 0
@@ -583,29 +584,6 @@ def test_checkpoint_roundtrip_bit_identical_metrics(tmp_path):
         assert na == nb and pa.data.tobytes() == pb.data.tobytes()
 
 
-def test_adapters_only_checkpoint_loads_onto_matching_backbone(tmp_path):
-    trained = tiny_model(seed=9)
-    ds = tiny_dataset(n=4, seed=9)
-    fit(trained, ds, TrainConfig(base_lr=1e-2, warmup_epochs=0, epochs=2,
-                                 batch_size=4, seed=9))
-    save_checkpoint(trained, tmp_path / "ada", include="adapters")
-
-    fresh = tiny_model(seed=9)   # same frozen backbone init
-    load_adapter_checkpoint(fresh, tmp_path / "ada")
-    for (_, pa), (_, pb) in zip(trained.bank.named_parameters(),
-                                fresh.bank.named_parameters()):
-        assert pa.data.tobytes() == pb.data.tobytes()
-    # decoder was not in the checkpoint: stays at init
-    assert not np.array_equal(trained.decoder.cls_w.data, fresh.decoder.cls_w.data)
-
-
-def test_full_load_rejects_partial_checkpoint(tmp_path):
-    model = tiny_model(seed=10)
-    save_checkpoint(model, tmp_path / "ada", include="adapters")
-    with pytest.raises(CheckpointError, match="not a full checkpoint"):
-        load_checkpoint(tmp_path / "ada")
-
-
 def test_checkpoint_missing_blob_fails(tmp_path):
     model = tiny_model(seed=11)
     root = save_checkpoint(model, tmp_path / "ckpt")
@@ -631,14 +609,14 @@ def test_interrupted_checkpoint_save_leaves_no_manifest(tmp_path, fail_writes_af
         load_checkpoint(root)
 
 
-def test_adapters_only_save_over_a_full_checkpoint_removes_stale_blobs(tmp_path):
-    model = tiny_model(seed=16)
-    root = save_checkpoint(model, tmp_path / "ckpt")
-    save_checkpoint(model, root, include="adapters")
+def test_smaller_save_over_a_checkpoint_removes_stale_blobs(tmp_path):
+    root = save_checkpoint(tiny_model(seed=16), tmp_path / "ckpt")
+    fused_files = len(list(root.iterdir()))
+    save_checkpoint(tiny_model(seed=16, modalities=("vis",)), root)
     named = {rec["path"] for rec in json.loads((root / "manifest.json").read_text())["params"]}
-    assert len(named) == 96
+    assert len(named) + 1 < fused_files
     assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
-    load_adapter_checkpoint(tiny_model(seed=16), root)
+    assert load_checkpoint(root).config.modalities == ("vis",)
 
 
 def test_checkpoint_blob_outside_its_directory_rejected(tmp_path):
