@@ -14,7 +14,6 @@ routing densities are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 import numpy as np
@@ -24,30 +23,18 @@ from .initializers import Module, derive_rng, trunc_normal, zeros
 from .tensor import Tensor, ShapeError, drop_path, dropout, gelu, matmul
 
 
-class Density(str, Enum):
-    SHARED = "shared"
-    PAIR_BIDIRECTIONAL = "pair-bi"
-    PAIR_UNIDIRECTIONAL = "pair-uni"
-
-    @staticmethod
-    def parse(value: "Density | str") -> "Density":
-        if isinstance(value, Density):
-            return value
-        try:
-            return Density(value)
-        except ValueError:
-            raise ValueError(
-                f"unknown density {value!r} (shared, pair-bi, pair-uni)") from None
+DENSITIES = ("shared", "pair-bi", "pair-uni")
 
 
 @dataclass(frozen=True)
 class DensityConfig:
     """Routing density plus the 1-indexed stages whose blocks fuse."""
-    variant: Density
+    variant: str
     active_stages: tuple[int, ...] = (1, 2, 3, 4)
 
     def __post_init__(self):
-        object.__setattr__(self, "variant", Density.parse(self.variant))
+        if self.variant not in DENSITIES:
+            raise ValueError(f"unknown density {self.variant!r} ({', '.join(DENSITIES)})")
         stages = tuple(sorted(set(self.active_stages)))
         if not stages:
             raise ValueError("active_stages must be non-empty")
@@ -88,19 +75,21 @@ class CrossModalAdapter(Module):
             mine.data[...] = theirs.data
 
 
-def route_key(variant: Density, src: int, dst: int) -> tuple[int, ...]:
+def route_key(variant: str, src: int, dst: int) -> tuple[int, ...]:
     """Canonical key for the (src -> dst) modality route."""
     if src == dst:
         raise ValueError("adapter routes connect distinct modalities")
-    if variant is Density.SHARED:
+    if variant == "shared":
         return ()
-    if variant is Density.PAIR_BIDIRECTIONAL:
+    if variant == "pair-bi":
         return (min(src, dst), max(src, dst))
     return (src, dst)
 
 
-def routes_for(variant: Density, num_modalities: int) -> list[tuple[int, ...]]:
+def routes_for(variant: str, num_modalities: int) -> list[tuple[int, ...]]:
     """All distinct route keys for one (stage, block, position) slot."""
+    if num_modalities < 2:
+        raise ValueError(f"adapter fusion needs >= 2 modalities, got {num_modalities}")
     return sorted({route_key(variant, i, j) for i in range(num_modalities)
                    for j in range(num_modalities) if i != j})
 
@@ -130,6 +119,14 @@ class AdapterBank(Module):
             yield f"stage{stage}.block{block}.pos{pos}.route_{tag}", adapter
 
 
+def fused_stages(config: EncoderConfig, density: DensityConfig):
+    """Yield ``(stage, dim, depth)`` per active stage; refuse one the encoder lacks."""
+    for stage in density.active_stages:
+        if not 1 <= stage <= config.num_stages:
+            raise ValueError(f"active stage {stage} outside 1..{config.num_stages}")
+        yield stage, config.dims[stage - 1], config.depths[stage - 1]
+
+
 def build_adapter_bank(num_modalities: int, config: EncoderConfig,
                        density: DensityConfig, bottleneck: int,
                        seed: int | tuple[int, ...],
@@ -140,17 +137,13 @@ def build_adapter_bank(num_modalities: int, config: EncoderConfig,
     position, route), so two banks built from the same seed agree
     wherever their keys coincide.
     """
-    if num_modalities < 2:
-        raise ValueError(f"adapter fusion needs >= 2 modalities, got {num_modalities}")
     path = (seed,) if isinstance(seed, int) else tuple(seed)
+    routes = routes_for(density.variant, num_modalities)
     bank = AdapterBank(density)
-    for stage in density.active_stages:
-        if not 1 <= stage <= config.num_stages:
-            raise ValueError(f"active stage {stage} outside 1..{config.num_stages}")
-        dim = config.dims[stage - 1]
-        for block in range(config.depths[stage - 1]):
+    for stage, dim, depth in fused_stages(config, density):
+        for block in range(depth):
             for position in (1, 2):
-                for route in routes_for(density.variant, num_modalities):
+                for route in routes:
                     rng = derive_rng(*path, stage, block, position, *route)
                     bank.adapters[(stage, block, position, route)] = CrossModalAdapter(
                         dim, bottleneck, rng, dropout_rate, dtype)

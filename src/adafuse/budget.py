@@ -10,7 +10,8 @@ bank carries.
 
 from __future__ import annotations
 
-from .adapters import AdapterBank, DensityConfig, build_adapter_bank, routes_for
+from .adapters import (AdapterBank, DensityConfig, build_adapter_bank, fused_stages,
+                       routes_for)
 from .encoder import EncoderConfig
 
 
@@ -27,16 +28,9 @@ def analytic_count(config: EncoderConfig, density: DensityConfig,
                    include_biases: bool = True) -> int:
     """The adapter parameters of the bank ``build_adapter_bank`` would
     build for these arguments, in closed form, without building it."""
-    if num_modalities < 2:
-        raise ValueError("budgets are defined for >= 2 modalities")
     routes = len(routes_for(density.variant, num_modalities))
-    total = 0
-    for stage in density.active_stages:
-        if not 1 <= stage <= config.num_stages:
-            raise ValueError(f"stage {stage} outside 1..{config.num_stages}")
-        total += adapter_param_count(config.dims[stage - 1], bottleneck, include_biases) \
-            * 2 * routes * config.depths[stage - 1]
-    return total
+    return sum(adapter_param_count(dim, bottleneck, include_biases) * 2 * routes * depth
+               for _, dim, depth in fused_stages(config, density))
 
 
 def empirical_count(bank: AdapterBank) -> int:
@@ -60,7 +54,7 @@ def budget_report(preset: str, num_modalities: int, density, active_stages,
     record = {
         "preset": preset,
         "modalities": num_modalities,
-        "density": density.variant.value,
+        "density": density.variant,
         "active_stages": ",".join(str(s) for s in density.active_stages),
         "bottleneck": bottleneck,
         "analytic_with_biases": with_biases,

@@ -13,9 +13,11 @@ import json
 import sys
 from pathlib import Path
 
+from .adapters import DENSITIES
 from .budget import budget_report
 from .data import DatasetError, generate_synthetic, load_dataset, save_dataset
-from .model import FusionModel, ModelConfig
+from .encoder import PRESETS
+from .model import DTYPES, FusionModel, ModelConfig
 from .training import (CheckpointError, TrainConfig, TrainingError, evaluate,
                        fit, format_metrics, load_checkpoint, save_checkpoint)
 from .verification import equivalence_suite, gradient_suite
@@ -80,16 +82,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="JSON config file ({'model': ..., 'train': ...})")
     # --preset .. --decay-factor and --seed set the ModelConfig and/or
     # TrainConfig field that their dest names
-    p.add_argument("--preset", choices=["tiny", "b2-like"])
+    p.add_argument("--preset", choices=PRESETS)
     p.add_argument("--modalities", type=name_list,
                    help="comma-separated modality names (default: all in the dataset)")
-    p.add_argument("--density", choices=["shared", "pair-bi", "pair-uni"])
+    p.add_argument("--density", choices=DENSITIES)
     p.add_argument("--stages", dest="active_stages", type=int_list,
                    help="active fusion stages, e.g. 3,4")
     p.add_argument("--r", dest="bottleneck", type=int, help="adapter bottleneck width")
     p.add_argument("--ffm", dest="use_ffm", action="store_true", default=None,
                    help="enable the per-stage feature-fusion merge")
-    p.add_argument("--dtype", choices=["float32", "float64"])
+    p.add_argument("--dtype", choices=DTYPES)
     p.add_argument("--epochs", type=int)
     p.add_argument("--batch-size", type=int)
     p.add_argument("--lr", dest="base_lr", type=float)
@@ -106,10 +108,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("param-count", help="analytic vs enumerated adapter budget")
-    p.add_argument("--preset", default="b2-like", choices=["tiny", "b2-like"])
+    p.add_argument("--preset", default="b2-like", choices=PRESETS)
     p.add_argument("--modalities", type=int, default=2)
-    p.add_argument("--density", default="pair-bi",
-                   choices=["shared", "pair-bi", "pair-uni"])
+    p.add_argument("--density", default="pair-bi", choices=DENSITIES)
     p.add_argument("--stages", default="1,2,3,4")
     p.add_argument("--r", type=int, default=8)
     bias = p.add_mutually_exclusive_group()

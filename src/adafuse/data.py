@@ -86,6 +86,9 @@ def generate_synthetic(num_samples: int, height: int, width: int,
         raise ValueError(f"need at least one sample, got {num_samples}")
     if num_classes < 3:
         raise ValueError("need background plus at least two foreground classes")
+    if num_classes > IGNORE_INDEX:
+        raise ValueError(f"{num_classes} classes would use the ignore index "
+                         f"{IGNORE_INDEX} as a class id")
     if num_modalities < 2:
         raise ValueError("complementary visibility needs >= 2 modalities")
     if height < 8 or width < 8:
@@ -284,6 +287,9 @@ def load_dataset(directory) -> SceneDataset:
     with manifest_fields():
         num_classes = int(manifest["num_classes"])
         ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
+        if ignore < num_classes:
+            raise DatasetError(f"ignore_index {ignore} is a class id of the "
+                               f"{num_classes} classes")
         height, width = int(manifest["height"]), int(manifest["width"])
         modalities = [(m["name"], int(m["channels"])) for m in manifest["modalities"]]
         shapes = {name: (c, height, width) for name, c in modalities}

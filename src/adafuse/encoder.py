@@ -53,13 +53,14 @@ class EncoderConfig:
 
     @staticmethod
     def preset(name: str) -> "EncoderConfig":
-        if name == "tiny":
-            return EncoderConfig()
-        if name == "b2-like":
-            return EncoderConfig(dims=(64, 128, 320, 512), depths=(3, 4, 6, 3),
-                                 heads=(1, 2, 5, 8), strides=(4, 2, 2, 2),
-                                 sr_ratios=(8, 4, 2, 1))
-        raise ValueError(f"unknown encoder preset {name!r} (tiny, b2-like)")
+        if name not in PRESETS:
+            raise ValueError(f"unknown encoder preset {name!r} ({', '.join(PRESETS)})")
+        return PRESETS[name]
+
+
+PRESETS = {"tiny": EncoderConfig(),
+           "b2-like": EncoderConfig(dims=(64, 128, 320, 512), depths=(3, 4, 6, 3),
+                                    heads=(1, 2, 5, 8), sr_ratios=(8, 4, 2, 1))}
 
 
 def tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:

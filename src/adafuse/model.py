@@ -8,14 +8,13 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import (AdapterBank, Density, DensityConfig, build_adapter_bank,
-                       fused_encode)
+from .adapters import AdapterBank, DensityConfig, build_adapter_bank, fused_encode
 from .encoder import Encoder, EncoderConfig
 from .heads import Decoder, FeatureFusion, modal_merge
 from .initializers import Module
 from .tensor import Tensor, ShapeError, upsample_bilinear
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
+DTYPES = {"float32": np.dtype("<f4"), "float64": np.dtype("<f8")}
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -95,9 +94,9 @@ class ModelConfig(ConfigCodec):
             raise ValueError("modality names must be unique")
         if not self.modalities:
             raise ValueError("at least one modality required")
-        if self.dtype not in _DTYPES:
-            raise ValueError(f"dtype must be one of {sorted(_DTYPES)}")
-        Density.parse(self.density)
+        if self.dtype not in DTYPES:
+            raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
+        DensityConfig(self.density)
         n = EncoderConfig.preset(self.preset).num_stages
         if not self.active_stages or not all(1 <= s <= n for s in self.active_stages):
             raise ValueError(f"active_stages must be non-empty and within 1..{n}")
@@ -120,7 +119,7 @@ class ModelConfig(ConfigCodec):
         return replace(EncoderConfig.preset(self.preset), drop_path_rate=self.drop_path_rate)
 
     def np_dtype(self):
-        return _DTYPES[self.dtype]
+        return DTYPES[self.dtype]
 
 
 class FusionModel(Module):

@@ -443,27 +443,25 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 # stochastic regularizers
 # ---------------------------------------------------------------------
 
-def dropout(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Zero elements w.p. ``p`` and rescale survivors; identity if no ``rng``."""
+def _drop(x: Tensor, p: float, rng, mask_shape: tuple[int, ...], name: str) -> Tensor:
+    """``x`` times a broadcast ``mask_shape`` mask: 0 w.p. ``p``, else 1 / (1 - p)."""
     if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {p}")
+        raise ValueError(f"{name} rate must be in [0, 1), got {p}")
     if rng is None or p == 0.0:
         return x
-    keep = (rng.random(x.shape) >= p)
-    scale = keep.astype(x.dtype) / (1.0 - p)
+    scale = (rng.random(mask_shape) >= p).astype(x.dtype) / (1.0 - p)
     return _make(x.data * scale, (x,), lambda g: (g * scale,))
+
+
+def dropout(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Zero elements w.p. ``p`` and rescale survivors; identity if no ``rng``."""
+    return _drop(x, p, rng, x.shape, "dropout")
 
 
 def drop_path(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Zero the whole residual branch per leading-axis element w.p. ``p``
     (identity if no ``rng``)."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"drop_path rate must be in [0, 1), got {p}")
-    if rng is None or p == 0.0:
-        return x
-    keep = (rng.random(x.shape[0]) >= p).astype(x.dtype) / (1.0 - p)
-    scale = keep.reshape((x.shape[0],) + (1,) * (x.ndim - 1))
-    return _make(x.data * scale, (x,), lambda g: (g * scale,))
+    return _drop(x, p, rng, (x.shape[0],) + (1,) * (x.ndim - 1), "drop_path")
 
 
 # ---------------------------------------------------------------------

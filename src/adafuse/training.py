@@ -10,12 +10,10 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import (SceneDataset, batch_iter, manifest_fields, read_blob,
+from .data import (IGNORE_INDEX, SceneDataset, batch_iter, manifest_fields, read_blob,
                    read_manifest, stack_batch, write_store)
 from .model import ConfigCodec, FusionModel, ModelConfig
 from .tensor import Tensor, active_tape, backward, log_softmax, mul, no_grad, tsum
-
-_BLOB_DTYPES = {"float32": "<f4", "float64": "<f8"}
 
 
 class TrainingError(RuntimeError):
@@ -71,7 +69,8 @@ def lr_at(t: float, cfg: TrainConfig) -> float:
     return cfg.base_lr * (1.0 - frac * (1.0 - cfg.decay_factor))
 
 
-def cross_entropy(logits: Tensor, labels: np.ndarray, ignore_index: int = 255) -> Tensor:
+def cross_entropy(logits: Tensor, labels: np.ndarray,
+                  ignore_index: int = IGNORE_INDEX) -> Tensor:
     """Mean over non-ignored pixels of -log softmax(logits)[label].
 
     ``logits`` is [B, K, H, W]; ``labels`` matches its spatial/batch
@@ -143,7 +142,7 @@ class AdamW:
 
 def train_step(model: FusionModel, images: dict, labels: np.ndarray,
                optimizer: AdamW, lr: float,
-               ignore_index: int = 255) -> float:
+               ignore_index: int = IGNORE_INDEX) -> float:
     """One forward/backward/update on the trainable parameters only.
 
     ``images`` may carry cached leading encoder stages in place of a
@@ -228,7 +227,7 @@ def fit(model: FusionModel, dataset: SceneDataset, cfg: TrainConfig,
 class ConfusionMatrix:
     """num_classes x num_classes pixel counts; ignored pixels excluded."""
 
-    def __init__(self, num_classes: int, ignore_index: int = 255):
+    def __init__(self, num_classes: int, ignore_index: int = IGNORE_INDEX):
         self.num_classes = num_classes
         self.ignore_index = ignore_index
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
@@ -307,7 +306,7 @@ def format_metrics(metrics: dict) -> tuple[str, str]:
 def save_checkpoint(model: FusionModel, directory) -> Path:
     """Serialize configs + parameter buffers (bit-exact blobs)."""
     named = list(model.named_parameters())
-    blob_dtype = _BLOB_DTYPES[model.config.dtype]
+    blob_dtype = model.config.np_dtype().str
     records = [{"name": name, "path": f"p{i:05d}.bin", "shape": list(p.shape)}
                for i, (name, p) in enumerate(named)]
     blobs = [(rec["path"], p.data.astype(blob_dtype, copy=False))
@@ -328,8 +327,9 @@ def load_checkpoint(directory) -> FusionModel:
     lookup = dict(model.named_parameters())
     with manifest_fields(CheckpointError):
         dtype = manifest["blob_dtype"]
-        if dtype not in _BLOB_DTYPES.values():
-            raise CheckpointError(f"unsupported blob dtype {dtype!r}")
+        if dtype != config.np_dtype().str:
+            raise CheckpointError(f"unsupported blob dtype {dtype!r} for a "
+                                  f"{config.dtype} model")
         for rec in manifest["params"]:
             name = rec["name"]
             if name not in lookup:

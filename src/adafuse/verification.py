@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapters import (AdapterBank, CrossModalAdapter, Density, DensityConfig,
+from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, DensityConfig,
                        build_adapter_bank, fused_block_forward, fused_encode)
+from .data import IGNORE_INDEX
 from .encoder import Encoder, EncoderConfig, TransformerBlock
 from .gradcheck import grad_check_params
 from .model import FusionModel, ModelConfig
@@ -82,7 +83,7 @@ def primitive_checks(seed: int) -> dict[str, float]:
 
     flat = _t(rng, 2, 4, 3, 3)
     labels = np.random.default_rng(seed + 3).integers(0, 4, (2, 3, 3))
-    labels[0, 0, 0] = 255
+    labels[0, 0, 0] = IGNORE_INDEX
     errs["cross_entropy"] = grad_check_params(
         lambda: cross_entropy(flat, labels), [flat])
 
@@ -113,7 +114,7 @@ def fused_block_check(seed: int) -> float:
                            sr_ratios=(1,))
     blocks = [TransformerBlock(8, 2, 1, 2, 0.0, np.random.default_rng([seed, i]))
               for i in range(2)]
-    density = DensityConfig(Density.PAIR_BIDIRECTIONAL, (1,))
+    density = DensityConfig("pair-bi", (1,))
     bank = build_adapter_bank(2, config, density, bottleneck=3, seed=seed,
                               dropout_rate=0.0)
     for p in bank.parameters():
@@ -198,7 +199,7 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
 
     encoders = [Encoder(config, 1, seed=seed * 7 + i, dtype=dtype) for i in range(2)]
     banks = {}
-    for variant in Density:
+    for variant in DENSITIES:
         banks[variant] = build_adapter_bank(
             2, config, DensityConfig(variant), bottleneck=4,
             seed=seed, dropout_rate=0.0, dtype=dtype)
@@ -207,11 +208,11 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     # their zero init every density is trivially identical.
     reference = {}
     fill = np.random.default_rng(seed + 101)
-    for (stage, block, pos, route), adapter in sorted(banks[Density.SHARED].adapters.items()):
+    for (stage, block, pos, route), adapter in sorted(banks["shared"].adapters.items()):
         adapter.w_up.data[...] = fill.normal(0.0, 0.05, adapter.w_up.shape)
         adapter.b_up.data[...] = fill.normal(0.0, 0.05, adapter.b_up.shape)
         reference[(stage, block, pos)] = adapter
-    for variant in (Density.PAIR_BIDIRECTIONAL, Density.PAIR_UNIDIRECTIONAL):
+    for variant in ("pair-bi", "pair-uni"):
         _copy_bank_weights(banks[variant], reference)
 
     rng = np.random.default_rng(seed)
@@ -220,22 +221,22 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     for _ in range(num_inputs):
         imgs = [Tensor(rng.random((1, 1, 32, 32)).astype(dtype)) for _ in range(2)]
         outs = {}
-        for variant in Density:
+        for variant in DENSITIES:
             pyr = fused_encode(encoders, imgs, banks[variant])
             outs[variant] = [f.data for p in pyr for f in p]
         same_bi &= all(np.array_equal(a, b) for a, b in
-                       zip(outs[Density.SHARED], outs[Density.PAIR_BIDIRECTIONAL]))
+                       zip(outs["shared"], outs["pair-bi"]))
         same_uni &= all(np.array_equal(a, b) for a, b in
-                        zip(outs[Density.PAIR_UNIDIRECTIONAL], outs[Density.PAIR_BIDIRECTIONAL]))
+                        zip(outs["pair-uni"], outs["pair-bi"]))
     report["m2_shared_vs_pair_bi"] = bool(same_bi)
     report["m2_tied_uni_vs_pair_bi"] = bool(same_uni)
 
     # M=3: independently initialized pair adapters cannot all equal the
     # shared one, so outputs must differ.
     encoders3 = [Encoder(config, 1, seed=seed * 11 + i, dtype=dtype) for i in range(3)]
-    shared3 = build_adapter_bank(3, config, DensityConfig(Density.SHARED),
+    shared3 = build_adapter_bank(3, config, DensityConfig("shared"),
                                  bottleneck=4, seed=seed, dropout_rate=0.0, dtype=dtype)
-    pair3 = build_adapter_bank(3, config, DensityConfig(Density.PAIR_BIDIRECTIONAL),
+    pair3 = build_adapter_bank(3, config, DensityConfig("pair-bi"),
                                bottleneck=4, seed=seed + 1, dropout_rate=0.0, dtype=dtype)
     # Nonzero, per-adapter up-projections so the routing shows in outputs.
     filler = np.random.default_rng(seed + 2)

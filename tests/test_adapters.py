@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse.adapters import (CrossModalAdapter, Density,
-                              DensityConfig, build_adapter_bank,
+from adafuse.adapters import (CrossModalAdapter, DensityConfig, build_adapter_bank,
                               fused_block_forward, fused_encode, route_key,
                               routes_for)
 from adafuse.encoder import Encoder, EncoderConfig, TransformerBlock
@@ -83,9 +82,9 @@ def test_bank_cardinality_m2_b2_like_pair_bi():
 
 
 def test_bank_cardinality_m4_pair_uni_per_slot():
-    assert len(routes_for(Density.PAIR_UNIDIRECTIONAL, 4)) == 12  # 2*C(4,2)
-    assert len(routes_for(Density.PAIR_BIDIRECTIONAL, 4)) == 6
-    assert len(routes_for(Density.SHARED, 4)) == 1
+    assert len(routes_for("pair-uni", 4)) == 12  # 2*C(4,2)
+    assert len(routes_for("pair-bi", 4)) == 6
+    assert len(routes_for("shared", 4)) == 1
 
 
 @pytest.mark.parametrize("m", [2, 3, 5])
@@ -93,9 +92,9 @@ def test_bank_counting_rules(m):
     cfg = EncoderConfig.preset("tiny")
     slots = 2 * sum(cfg.depths)
     pairs = math.comb(m, 2)
-    for variant, per_slot in ((Density.SHARED, 1),
-                              (Density.PAIR_BIDIRECTIONAL, pairs),
-                              (Density.PAIR_UNIDIRECTIONAL, 2 * pairs)):
+    for variant, per_slot in (("shared", 1),
+                              ("pair-bi", pairs),
+                              ("pair-uni", 2 * pairs)):
         bank = build_adapter_bank(m, cfg, DensityConfig(variant, (1, 2, 3, 4)),
                                   bottleneck=2, seed=0)
         assert len(bank) == slots * per_slot
@@ -126,7 +125,7 @@ def test_route_lookup_symmetry():
 
 def test_route_key_rejects_self_route():
     with pytest.raises(ValueError):
-        route_key(Density.SHARED, 1, 1)
+        route_key("shared", 1, 1)
 
 
 def test_density_config_validation():

@@ -4,11 +4,12 @@ import math
 
 import pytest
 
-from adafuse.adapters import Density, DensityConfig, build_adapter_bank, routes_for
+from adafuse.adapters import DENSITIES, DensityConfig, build_adapter_bank, routes_for
 from adafuse.budget import (adapter_param_count, analytic_count, budget_report,
                             empirical_count)
-from adafuse.encoder import EncoderConfig
-from adafuse.model import FusionModel, ModelConfig
+from adafuse.cli import build_parser
+from adafuse.encoder import PRESETS, EncoderConfig
+from adafuse.model import DTYPES, FusionModel, ModelConfig
 
 B2 = EncoderConfig.preset("b2-like")
 
@@ -76,9 +77,9 @@ def test_monotonic_in_m_r_and_stages():
 
 
 def test_route_counts():
-    assert len(routes_for(Density.SHARED, 5)) == 1
-    assert len(routes_for(Density.PAIR_BIDIRECTIONAL, 5)) == 10
-    assert len(routes_for(Density.PAIR_UNIDIRECTIONAL, 5)) == 20
+    assert len(routes_for("shared", 5)) == 1
+    assert len(routes_for("pair-bi", 5)) == 10
+    assert len(routes_for("pair-uni", 5)) == 20
 
 
 def test_empirical_count_of_a_model_bank_matches_analytic():
@@ -105,3 +106,30 @@ def test_analytic_count_validation():
         count_for(2, (3, 5))
     with pytest.raises(ValueError, match="stage 0 outside 1..4"):
         count_for(2, (0,))
+
+
+@pytest.mark.parametrize("m,density,stages", [
+    (2, "pair-bi", (0,)), (2, "pair-bi", (3, 5)), (1, "shared", (1,)),
+    (2, "dense-everything", (1,))],
+    ids=["stage-0", "stage-5", "one-modality", "unknown-density"])
+def test_closed_form_and_bank_refuse_the_same_inputs(m, density, stages):
+    tiny = EncoderConfig.preset("tiny")
+    messages = []
+    for count in (lambda d: analytic_count(tiny, d, m, 8),
+                  lambda d: build_adapter_bank(m, tiny, d, 8, seed=0)):
+        with pytest.raises(ValueError) as exc:
+            count(DensityConfig(density, stages))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+
+
+@pytest.mark.parametrize("key,name", [("density", d) for d in DENSITIES]
+                         + [("preset", p) for p in PRESETS]
+                         + [("dtype", t) for t in DTYPES])
+def test_every_listed_name_is_taken_by_the_config_and_the_cli(key, name):
+    assert getattr(ModelConfig(**{key: name}), key) == name
+    parser = build_parser()
+    args = parser.parse_args(["train", "--data", "d", "--out", "o", f"--{key}", name])
+    assert getattr(args, key) == name
+    if key != "dtype":                  # param-count builds no model
+        assert getattr(parser.parse_args(["param-count", f"--{key}", name]), key) == name

@@ -140,21 +140,31 @@ def test_eval_manifest_missing_field_is_io_error(tmp_path, capsys, target, field
     assert "i/o error" in capsys.readouterr().err
 
 
+def _widen_blobs(manifest, root):
+    """Rewrite a float32 checkpoint's blobs as float64 and set its blob_dtype to match."""
+    for rec in manifest["params"]:
+        blob = root / rec["path"]
+        blob.write_bytes(np.frombuffer(blob.read_bytes(), "<f4").astype("<f8").tobytes())
+    manifest["blob_dtype"] = "<f8"
+
+
 @pytest.mark.parametrize("edit,message", [
-    (lambda m: m.update(blob_dtype="<f2"), "unsupported blob dtype '<f2'"),
-    (lambda m: m["params"][0].update(name="encoder.sonar.cls_w"),
+    (lambda m, _: m.update(blob_dtype="<f2"), "unsupported blob dtype '<f2'"),
+    (_widen_blobs, "unsupported blob dtype '<f8' for a float32 model"),
+    (lambda m, _: m["params"][0].update(name="encoder.sonar.cls_w"),
      "checkpoint parameter 'encoder.sonar.cls_w' has no counterpart in the model"),
-    (lambda m: m["params"][0].update(shape=[3, 5, 7]), "checkpoint (3, 5, 7), model"),
-    (lambda m: m["params"].pop(), "checkpoint omits 1 parameters (first: 'decoder."),
+    (lambda m, _: m["params"][0].update(shape=[3, 5, 7]), "checkpoint (3, 5, 7), model"),
+    (lambda m, _: m["params"].pop(), "checkpoint omits 1 parameters (first: 'decoder."),
     (None, "manifest kind 'dataset' is not a checkpoint")],
-    ids=["blob-dtype", "unknown-name", "shape", "omits", "dataset-dir"])
+    ids=["blob-dtype", "blob-dtype-of-another-model", "unknown-name", "shape", "omits",
+         "dataset-dir"])
 def test_eval_refuses_a_checkpoint_that_does_not_fit_its_model(tmp_path, capsys,
                                                                edit, message):
     dirs = eval_inputs(tmp_path)
     checkpoint = dirs["checkpoint"] if edit else dirs["data"]
     if edit:
         manifest = json.loads((checkpoint / "manifest.json").read_text())
-        edit(manifest)
+        edit(manifest, checkpoint)
         (checkpoint / "manifest.json").write_text(json.dumps(manifest))
     code = run(["eval", "--checkpoint", str(checkpoint), "--data", str(dirs["data"])])
     assert code == 3
@@ -597,6 +607,26 @@ def test_grad_check_with_no_seeds_is_a_config_error(capsys, seeds):
     assert run(["grad-check", "--seeds", seeds]) == 2
     err = capsys.readouterr().err
     assert "at least one seed" in err
+
+
+def test_synth_data_with_a_class_id_at_the_ignore_index_is_a_config_error(tmp_path,
+                                                                           capsys):
+    out = tmp_path / "ds"
+    assert run(["synth-data", "--out", str(out), "--samples", "2", "--classes", "300"]) == 2
+    assert "ignore index 255" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_train_on_a_dataset_whose_ignore_index_is_a_class_is_io_error(tmp_path, capsys):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    manifest = json.loads((data_dir / "manifest.json").read_text())
+    manifest["ignore_index"] = 0
+    (data_dir / "manifest.json").write_text(json.dumps(manifest))
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                "--batch-size", "2"]) == 3
+    assert "ignore_index 0 is a class id" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("samples", ["0", "-1"])

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adafuse.data import (DatasetError, batch_iter, generate_synthetic,
+from adafuse.data import (IGNORE_INDEX, DatasetError, batch_iter, generate_synthetic,
                           load_dataset, save_dataset, stack_batch)
 
 
@@ -93,6 +93,11 @@ def test_generation_validation():
         generate_synthetic(1, 32, 32, 5, 1, 0)       # single modality
     with pytest.raises(ValueError):
         generate_synthetic(1, 4, 4, 5, 2, 0)         # degenerate size
+    for classes in (IGNORE_INDEX + 1, 300, 70_000):  # a class id at the ignore index
+        with pytest.raises(ValueError, match=f"ignore index {IGNORE_INDEX}"):
+            generate_synthetic(40, 32, 32, classes, 2, seed=3)
+    ds = generate_synthetic(2, 32, 32, IGNORE_INDEX, 2, seed=3)
+    assert max(int(s.label.max()) for s in ds.samples) < IGNORE_INDEX
 
 
 # ---------------------------------------------------------------------
@@ -270,6 +275,19 @@ def test_save_deletes_the_blobs_a_legacy_old_manifest_names(tmp_path, kept):
     save_dataset(small_ds(seed=17, n=3), root)
     assert len(list(root.iterdir())) == 10
     assert len(load_dataset(root)) == 3
+
+
+@pytest.mark.parametrize("ignore", [0, 4])
+def test_an_ignore_index_that_is_a_class_id_is_rejected(tmp_path, ignore):
+    root = save_dataset(small_ds(seed=13, n=1), tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    manifest["ignore_index"] = ignore
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=f"ignore_index {ignore} is a class id"):
+        load_dataset(root)
+    manifest["ignore_index"] = 5       # the first id past the 5 classes
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    assert load_dataset(root).ignore_index == 5
 
 
 def test_out_of_range_labels_rejected(tmp_path):
