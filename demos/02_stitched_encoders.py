@@ -11,7 +11,7 @@
 import numpy as np
 
 import adafuse as af
-from adafuse.adapters import DensityConfig, build_adapter_bank, fused_encode
+from adafuse.adapters import build_adapter_bank, fused_encode
 from adafuse.encoder import Encoder, EncoderConfig
 from adafuse.verification import check_density_equivalence
 
@@ -26,14 +26,12 @@ imgs = [af.Tensor(rng.random((1, 1, 32, 32))) for _ in range(2)]
 # pair-uni  : two per pair, one per direction          (2*C(M,2) per slot)
 
 for variant in ("shared", "pair-bi", "pair-uni"):
-    bank = build_adapter_bank(3, cfg, DensityConfig(variant, (1, 2, 3, 4)),
-                              bottleneck=8, seed=0)
+    bank = build_adapter_bank(3, cfg, variant, (1, 2, 3, 4), bottleneck=8, seed=0)
     print(f"{variant:<9} M=3 bank: {len(bank)} adapters")
 
 # -- zero-init transparency ---------------------------------------------
 
-density = DensityConfig("pair-bi", (3, 4))
-bank = build_adapter_bank(2, cfg, density, bottleneck=8, seed=0)
+bank = build_adapter_bank(2, cfg, "pair-bi", (3, 4), bottleneck=8, seed=0)
 fused = fused_encode(encoders, imgs, bank)
 solo = [fused_encode([enc], [img], None)[0] for enc, img in zip(encoders, imgs)]
 same = all(np.array_equal(f.data, s.data)

@@ -8,9 +8,8 @@ from .tensor import (Tensor, Tape, ShapeError, active_tape, backward, no_grad,
                      upsample_bilinear)
 from .gradcheck import grad_check_params, relative_error
 from .encoder import Encoder, EncoderConfig, TransformerBlock, tokens_to_map, map_to_tokens
-from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, DensityConfig,
-                       build_adapter_bank, fused_block_forward, fused_encode,
-                       routes_for)
+from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, build_adapter_bank,
+                       fused_block_forward, fused_encode, routes_for)
 from .heads import Decoder, FeatureFusion, modal_merge
 from .model import FusionModel, ModelConfig
 from .budget import (adapter_param_count, analytic_count, budget_report,

@@ -13,7 +13,6 @@ routing densities are supported:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -24,21 +23,6 @@ from .tensor import Tensor, ShapeError, drop_path, dropout, gelu, matmul
 
 
 DENSITIES = ("shared", "pair-bi", "pair-uni")
-
-
-@dataclass(frozen=True)
-class DensityConfig:
-    """Routing density plus the 1-indexed stages whose blocks fuse."""
-    variant: str
-    active_stages: tuple[int, ...] = (1, 2, 3, 4)
-
-    def __post_init__(self):
-        if self.variant not in DENSITIES:
-            raise ValueError(f"unknown density {self.variant!r} ({', '.join(DENSITIES)})")
-        stages = tuple(sorted(set(self.active_stages)))
-        if not stages:
-            raise ValueError("active_stages must be non-empty")
-        object.__setattr__(self, "active_stages", stages)
 
 
 class CrossModalAdapter(Module):
@@ -87,7 +71,10 @@ def route_key(variant: str, src: int, dst: int) -> tuple[int, ...]:
 
 
 def routes_for(variant: str, num_modalities: int) -> list[tuple[int, ...]]:
-    """All distinct route keys for one (stage, block, position) slot."""
+    """All distinct route keys for one (stage, block, position) slot;
+    refuse a density not in ``DENSITIES``, then fewer than 2 modalities."""
+    if variant not in DENSITIES:
+        raise ValueError(f"unknown density {variant!r} ({', '.join(DENSITIES)})")
     if num_modalities < 2:
         raise ValueError(f"adapter fusion needs >= 2 modalities, got {num_modalities}")
     return sorted({route_key(variant, i, j) for i in range(num_modalities)
@@ -95,19 +82,21 @@ def routes_for(variant: str, num_modalities: int) -> list[tuple[int, ...]]:
 
 
 class AdapterBank(Module):
-    """Routing table (stage, block, position, route) -> adapter.
+    """Routing table (stage, block, position, route) -> adapter, for the
+    density ``variant`` in the ascending 1-indexed ``stages``.
 
     Positions: 1 = after-attention injection, 2 = after-MLP injection.
     Route cardinality per slot is 1 / C(M,2) / 2*C(M,2) for the shared /
     pair-bidirectional / pair-unidirectional densities.
     """
 
-    def __init__(self, density: DensityConfig):
-        self.density = density
+    def __init__(self, variant: str, stages: tuple[int, ...]):
+        self.variant = variant
+        self.stages = stages
         self.adapters: dict[tuple, CrossModalAdapter] = {}
 
     def get(self, stage: int, block: int, position: int, src: int, dst: int) -> CrossModalAdapter:
-        key = (stage, block, position, route_key(self.density.variant, src, dst))
+        key = (stage, block, position, route_key(self.variant, src, dst))
         return self.adapters[key]
 
     def __len__(self) -> int:
@@ -119,16 +108,19 @@ class AdapterBank(Module):
             yield f"stage{stage}.block{block}.pos{pos}.route_{tag}", adapter
 
 
-def fused_stages(config: EncoderConfig, density: DensityConfig):
-    """Yield ``(stage, dim, depth)`` per active stage; refuse one the encoder lacks."""
-    for stage in density.active_stages:
+def fused_stages(config: EncoderConfig, active_stages) -> list[tuple[int, int, int]]:
+    """Ascending ``(stage, dim, depth)`` per distinct stage; refuse none or one out of range."""
+    stages = sorted(set(active_stages))
+    if not stages:
+        raise ValueError("active_stages must be non-empty")
+    for stage in stages:
         if not 1 <= stage <= config.num_stages:
             raise ValueError(f"active stage {stage} outside 1..{config.num_stages}")
-        yield stage, config.dims[stage - 1], config.depths[stage - 1]
+    return [(s, config.dims[s - 1], config.depths[s - 1]) for s in stages]
 
 
 def build_adapter_bank(num_modalities: int, config: EncoderConfig,
-                       density: DensityConfig, bottleneck: int,
+                       variant: str, active_stages, bottleneck: int,
                        seed: int | tuple[int, ...],
                        dropout_rate: float = 0.1, dtype=np.float64) -> AdapterBank:
     """Populate a bank for every block of the active stages.
@@ -138,9 +130,10 @@ def build_adapter_bank(num_modalities: int, config: EncoderConfig,
     wherever their keys coincide.
     """
     path = (seed,) if isinstance(seed, int) else tuple(seed)
-    routes = routes_for(density.variant, num_modalities)
-    bank = AdapterBank(density)
-    for stage, dim, depth in fused_stages(config, density):
+    routes = routes_for(variant, num_modalities)
+    layout = fused_stages(config, active_stages)
+    bank = AdapterBank(variant, tuple(stage for stage, _, _ in layout))
+    for stage, dim, depth in layout:
         for block in range(depth):
             for position in (1, 2):
                 for route in routes:
@@ -208,7 +201,7 @@ def fused_encode(encoders: list[Encoder], images: list,
         if len(p) != len(pyramids[0]) or x.shape[-2:] != current[0].shape[-2:]:
             raise ShapeError("modality images must share spatial dims")
     config = encoders[0].config
-    active = bank.density.active_stages if bank is not None else ()
+    active = bank.stages if bank is not None else ()
 
     stop = config.num_stages if stages is None else stages
     for s in range(len(pyramids[0]), stop):

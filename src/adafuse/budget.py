@@ -10,8 +10,7 @@ bank carries.
 
 from __future__ import annotations
 
-from .adapters import (AdapterBank, DensityConfig, build_adapter_bank, fused_stages,
-                       routes_for)
+from .adapters import AdapterBank, build_adapter_bank, fused_stages, routes_for
 from .encoder import EncoderConfig
 
 
@@ -23,14 +22,15 @@ def adapter_param_count(dim: int, r: int, include_biases: bool) -> int:
     return weights
 
 
-def analytic_count(config: EncoderConfig, density: DensityConfig,
+def analytic_count(config: EncoderConfig, variant: str, active_stages,
                    num_modalities: int, bottleneck: int,
                    include_biases: bool = True) -> int:
     """The adapter parameters of the bank ``build_adapter_bank`` would
-    build for these arguments, in closed form, without building it."""
-    routes = len(routes_for(density.variant, num_modalities))
+    build for density ``variant`` in ``active_stages`` (repeats count
+    once), in closed form, without building it."""
+    routes = len(routes_for(variant, num_modalities))
     return sum(adapter_param_count(dim, bottleneck, include_biases) * 2 * routes * depth
-               for _, dim, depth in fused_stages(config, density))
+               for _, dim, depth in fused_stages(config, active_stages))
 
 
 def empirical_count(bank: AdapterBank) -> int:
@@ -46,16 +46,15 @@ def budget_report(preset: str, num_modalities: int, density, active_stages,
     comes from actually building the bank for the requested shape.
     """
     cfg = EncoderConfig.preset(preset)
-    density = DensityConfig(density, tuple(active_stages))
-    with_biases = analytic_count(cfg, density, num_modalities, bottleneck)
-    weights_only = analytic_count(cfg, density, num_modalities, bottleneck,
+    with_biases = analytic_count(cfg, density, active_stages, num_modalities, bottleneck)
+    weights_only = analytic_count(cfg, density, active_stages, num_modalities, bottleneck,
                                   include_biases=False)
-    bank = build_adapter_bank(num_modalities, cfg, density, bottleneck, seed=0)
+    bank = build_adapter_bank(num_modalities, cfg, density, active_stages, bottleneck, seed=0)
     record = {
         "preset": preset,
         "modalities": num_modalities,
-        "density": density.variant,
-        "active_stages": ",".join(str(s) for s in density.active_stages),
+        "density": density,
+        "active_stages": ",".join(str(s) for s in bank.stages),
         "bottleneck": bottleneck,
         "analytic_with_biases": with_biases,
         "analytic_weights_only": weights_only,

@@ -8,7 +8,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import AdapterBank, DensityConfig, build_adapter_bank, fused_encode
+from .adapters import AdapterBank, build_adapter_bank, fused_encode, routes_for
 from .encoder import Encoder, EncoderConfig
 from .heads import Decoder, FeatureFusion, modal_merge
 from .initializers import Module
@@ -78,7 +78,7 @@ class ModelConfig(ConfigCodec):
     adapter_dropout: float = 0.1
     use_ffm: bool = False
     num_classes: int = 5
-    decoder_dim: int = 0          # 0 = preset default (64 tiny, 256 b2-like)
+    decoder_dim: int = 0          # 0 = half the deepest stage's width
     drop_path_rate: float = 0.0
     dtype: str = "float64"
     seed: int = 0
@@ -96,7 +96,7 @@ class ModelConfig(ConfigCodec):
             raise ValueError("at least one modality required")
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
-        DensityConfig(self.density)
+        routes_for(self.density, 2)
         n = EncoderConfig.preset(self.preset).num_stages
         if not self.active_stages or not all(1 <= s <= n for s in self.active_stages):
             raise ValueError(f"active_stages must be non-empty and within 1..{n}")
@@ -109,7 +109,7 @@ class ModelConfig(ConfigCodec):
             if getattr(self, key) < low:
                 raise ValueError(f"{key} must be >= {low}")
         if self.decoder_dim == 0:
-            self.decoder_dim = 256 if self.preset == "b2-like" else 64
+            self.decoder_dim = EncoderConfig.preset(self.preset).dims[-1] // 2
 
     @property
     def num_modalities(self) -> int:
@@ -145,10 +145,9 @@ class FusionModel(Module):
         self.bank: Optional[AdapterBank] = None
         if config.num_modalities >= 2:
             self.bank = build_adapter_bank(
-                config.num_modalities, enc_cfg,
-                DensityConfig(config.density, config.active_stages), config.bottleneck,
-                seed=(config.seed, 500), dropout_rate=config.adapter_dropout,
-                dtype=dtype)
+                config.num_modalities, enc_cfg, config.density, config.active_stages,
+                config.bottleneck, seed=(config.seed, 500),
+                dropout_rate=config.adapter_dropout, dtype=dtype)
 
         self.ffm = (FeatureFusion(config.num_modalities, enc_cfg, config.seed, dtype)
                     if config.use_ffm else None)
@@ -186,7 +185,7 @@ class FusionModel(Module):
         enc_cfg = self.encoder_config
         if enc_cfg.drop_path_rate > 0:
             return 0
-        n = enc_cfg.num_stages if self.bank is None else min(self.bank.density.active_stages) - 1
+        n = enc_cfg.num_stages if self.bank is None else min(self.config.active_stages) - 1
         if any(p.requires_grad for enc in self.encoders
                for stage in enc.stages[:n] for p in stage.parameters()):
             return 0

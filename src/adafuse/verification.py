@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, DensityConfig,
-                       build_adapter_bank, fused_block_forward, fused_encode)
+from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, build_adapter_bank,
+                       fused_block_forward, fused_encode)
 from .data import IGNORE_INDEX
 from .encoder import Encoder, EncoderConfig, TransformerBlock
 from .gradcheck import grad_check_params
@@ -114,8 +114,7 @@ def fused_block_check(seed: int) -> float:
                            sr_ratios=(1,))
     blocks = [TransformerBlock(8, 2, 1, 2, 0.0, np.random.default_rng([seed, i]))
               for i in range(2)]
-    density = DensityConfig("pair-bi", (1,))
-    bank = build_adapter_bank(2, config, density, bottleneck=3, seed=seed,
+    bank = build_adapter_bank(2, config, "pair-bi", (1,), bottleneck=3, seed=seed,
                               dropout_rate=0.0)
     for p in bank.parameters():
         p.data[...] = rng.normal(0.0, 0.2, p.shape)
@@ -201,7 +200,7 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     banks = {}
     for variant in DENSITIES:
         banks[variant] = build_adapter_bank(
-            2, config, DensityConfig(variant), bottleneck=4,
+            2, config, variant, (1, 2, 3, 4), bottleneck=4,
             seed=seed, dropout_rate=0.0, dtype=dtype)
     # One reference weight set per (stage, block, position), copied into
     # every route of every bank. Up-projections are randomized first; at
@@ -234,9 +233,9 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
     # M=3: independently initialized pair adapters cannot all equal the
     # shared one, so outputs must differ.
     encoders3 = [Encoder(config, 1, seed=seed * 11 + i, dtype=dtype) for i in range(3)]
-    shared3 = build_adapter_bank(3, config, DensityConfig("shared"),
+    shared3 = build_adapter_bank(3, config, "shared", (1, 2, 3, 4),
                                  bottleneck=4, seed=seed, dropout_rate=0.0, dtype=dtype)
-    pair3 = build_adapter_bank(3, config, DensityConfig("pair-bi"),
+    pair3 = build_adapter_bank(3, config, "pair-bi", (1, 2, 3, 4),
                                bottleneck=4, seed=seed + 1, dropout_rate=0.0, dtype=dtype)
     # Nonzero, per-adapter up-projections so the routing shows in outputs.
     filler = np.random.default_rng(seed + 2)

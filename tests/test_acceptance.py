@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse.adapters import DensityConfig, build_adapter_bank, fused_encode
+from adafuse.adapters import build_adapter_bank, fused_encode
 from adafuse.budget import analytic_count, empirical_count
 from adafuse.data import SceneDataset, generate_synthetic
 from adafuse.encoder import Encoder, EncoderConfig
@@ -40,14 +40,12 @@ def test_criterion_1_parameter_budgets():
     ok = True
     details = []
     for m, stages, want, want_million in cases:
-        analytic = analytic_count(cfg, DensityConfig("pair-bi", stages), m, 8,
-                                  include_biases=True)
+        analytic = analytic_count(cfg, "pair-bi", stages, m, 8, include_biases=True)
         exact = analytic == want
         rounded = round(analytic / 1e6, 2) == want_million
         empirical_match = True
         for dtype in (np.float64, np.float32):
-            bank = build_adapter_bank(m, cfg, DensityConfig("pair-bi", stages),
-                                      8, seed=0, dtype=dtype)
+            bank = build_adapter_bank(m, cfg, "pair-bi", stages, 8, seed=0, dtype=dtype)
             empirical_match &= empirical_count(bank) == analytic
         ok &= exact and rounded and empirical_match
         details.append(f"m={m}:{analytic}(+{round(analytic / 1e6, 2)}M)")
@@ -90,8 +88,7 @@ def test_criterion_3_zero_adapter_transparency():
     checked = 0
     for variant in ("shared", "pair-bi", "pair-uni"):
         for stages in ((1, 2, 3, 4), (3, 4), (1,), (2, 3)):
-            density = DensityConfig(variant, stages)
-            bank = build_adapter_bank(2, cfg, density, 8, seed=3,
+            bank = build_adapter_bank(2, cfg, variant, stages, 8, seed=3,
                                       dropout_rate=0.0)
             fused = fused_encode(encoders, imgs, bank)
             for i in range(2):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse.adapters import (CrossModalAdapter, DensityConfig, build_adapter_bank,
+from adafuse.adapters import (CrossModalAdapter, build_adapter_bank,
                               fused_block_forward, fused_encode, route_key,
                               routes_for)
 from adafuse.encoder import Encoder, EncoderConfig, TransformerBlock
@@ -75,8 +75,7 @@ def test_adapter_rejects_bad_bottleneck_and_dim():
 
 def test_bank_cardinality_m2_b2_like_pair_bi():
     cfg = EncoderConfig.preset("b2-like")
-    bank = build_adapter_bank(2, cfg, DensityConfig("pair-bi", (1, 2, 3, 4)),
-                              bottleneck=8, seed=0)
+    bank = build_adapter_bank(2, cfg, "pair-bi", (1, 2, 3, 4), bottleneck=8, seed=0)
     # 2 positions x 16 blocks x 1 pair
     assert len(bank) == 32
 
@@ -95,29 +94,28 @@ def test_bank_counting_rules(m):
     for variant, per_slot in (("shared", 1),
                               ("pair-bi", pairs),
                               ("pair-uni", 2 * pairs)):
-        bank = build_adapter_bank(m, cfg, DensityConfig(variant, (1, 2, 3, 4)),
-                                  bottleneck=2, seed=0)
+        bank = build_adapter_bank(m, cfg, variant, (1, 2, 3, 4), bottleneck=2, seed=0)
         assert len(bank) == slots * per_slot
 
 
 def test_m2_shared_and_pair_bi_have_equal_cardinality():
     cfg = EncoderConfig.preset("tiny")
-    shared = build_adapter_bank(2, cfg, DensityConfig("shared", (1, 2)), 2, 0)
-    pair = build_adapter_bank(2, cfg, DensityConfig("pair-bi", (1, 2)), 2, 0)
+    shared = build_adapter_bank(2, cfg, "shared", (1, 2), 2, 0)
+    pair = build_adapter_bank(2, cfg, "pair-bi", (1, 2), 2, 0)
     assert len(shared) == len(pair)
 
 
 def test_bank_rejects_single_modality():
     with pytest.raises(ValueError):
         build_adapter_bank(1, EncoderConfig.preset("tiny"),
-                           DensityConfig("shared", (1,)), 2, 0)
+                           "shared", (1,), 2, 0)
 
 
 def test_route_lookup_symmetry():
     cfg = EncoderConfig.preset("tiny")
     for variant, symmetric in (("shared", True), ("pair-bi", True),
                                ("pair-uni", False)):
-        bank = build_adapter_bank(3, cfg, DensityConfig(variant, (1,)), 2, 0)
+        bank = build_adapter_bank(3, cfg, variant, (1,), 2, 0)
         fwd = bank.get(1, 0, 1, 0, 2)
         rev = bank.get(1, 0, 1, 2, 0)
         assert (fwd is rev) == symmetric
@@ -129,12 +127,12 @@ def test_route_key_rejects_self_route():
 
 
 def test_density_config_validation():
-    with pytest.raises(ValueError):
-        DensityConfig("pair-bi", ())
-    with pytest.raises(ValueError):
-        DensityConfig("dense-everything", (1,))
-    cfg = DensityConfig("shared", (4, 3, 3))
-    assert cfg.active_stages == (3, 4)
+    tiny = EncoderConfig.preset("tiny")
+    with pytest.raises(ValueError, match="active_stages must be non-empty"):
+        build_adapter_bank(2, tiny, "pair-bi", (), 2, 0)
+    with pytest.raises(ValueError, match="unknown density 'dense-everything'"):
+        build_adapter_bank(2, tiny, "dense-everything", (1,), 2, 0)
+    assert build_adapter_bank(2, tiny, "shared", (4, 3, 3), 2, 0).stages == (3, 4)
 
 
 # ---------------------------------------------------------------------
@@ -148,7 +146,7 @@ def _micro_blocks(m, seed=0, dim=8):
 def _micro_bank(m, variant, seed=0, dim=8, randomize=True):
     cfg = EncoderConfig(dims=(dim,), depths=(1,), heads=(2,), strides=(2,),
                         sr_ratios=(1,))
-    bank = build_adapter_bank(m, cfg, DensityConfig(variant, (1,)), 3, seed,
+    bank = build_adapter_bank(m, cfg, variant, (1,), 3, seed,
                               dropout_rate=0.0)
     if randomize:
         fill = rng_of(seed + 100)
@@ -222,7 +220,7 @@ def test_fused_block_gradients_through_adapters_and_blocks():
     cfg = EncoderConfig(dims=(4,), depths=(1,), heads=(2,), strides=(2,),
                         sr_ratios=(1,))
     blocks = [TransformerBlock(4, 2, 1, 2, 0.0, rng_of(5 + i)) for i in range(2)]
-    bank = build_adapter_bank(2, cfg, DensityConfig("pair-bi", (1,)), 2, 5,
+    bank = build_adapter_bank(2, cfg, "pair-bi", (1,), 2, 5,
                               dropout_rate=0.0)
     fill = rng_of(55)
     params = [p for _, p in bank.named_parameters()]
@@ -253,8 +251,7 @@ def _encoders(m, seed=0, dtype=np.float64):
 @pytest.mark.parametrize("stages", [(1, 2, 3, 4), (3, 4), (2,)])
 def test_zero_adapter_transparency(variant, stages):
     encoders = _encoders(2, seed=6)
-    density = DensityConfig(variant, stages)
-    bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=6,
+    bank = build_adapter_bank(2, encoders[0].config, variant, stages, 4, seed=6,
                               dropout_rate=0.0)
     imgs = [af.Tensor(rng_of(70 + i).random((1, 1, 32, 32))) for i in range(2)]
     fused = fused_encode(encoders, imgs, bank)
@@ -266,8 +263,7 @@ def test_zero_adapter_transparency(variant, stages):
 
 def test_active_stage_subset_only_it_changes():
     encoders = _encoders(2, seed=7)
-    density = DensityConfig("pair-bi", (3, 4))
-    bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=7,
+    bank = build_adapter_bank(2, encoders[0].config, "pair-bi", (3, 4), 4, seed=7,
                               dropout_rate=0.0)
     fill = rng_of(77)
     for _, p in bank.named_parameters():
@@ -285,8 +281,7 @@ def test_active_stage_subset_only_it_changes():
 
 def test_fused_encode_eval_deterministic():
     encoders = _encoders(2, seed=8)
-    density = DensityConfig("shared", (1, 2, 3, 4))
-    bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=8)
+    bank = build_adapter_bank(2, encoders[0].config, "shared", (1, 2, 3, 4), 4, seed=8)
     imgs = [af.Tensor(rng_of(90 + i).random((1, 1, 32, 32))) for i in range(2)]
     a = fused_encode(encoders, imgs, bank)
     b = fused_encode(encoders, imgs, bank)
@@ -299,11 +294,10 @@ def test_fused_encode_takes_the_layout_from_the_bank_only():
     """A stale positional density or train flag is an error, never read
     as the generator."""
     encoders = _encoders(2, seed=9)
-    density = DensityConfig("pair-bi", (3, 4))
-    bank = build_adapter_bank(2, encoders[0].config, density, 4, seed=9)
+    bank = build_adapter_bank(2, encoders[0].config, "pair-bi", (3, 4), 4, seed=9)
     imgs = [af.Tensor(rng_of(95 + i).random((1, 1, 32, 32))) for i in range(2)]
     with pytest.raises(TypeError):
-        fused_encode(encoders, imgs, bank, density)
+        fused_encode(encoders, imgs, bank, "pair-bi")
     with pytest.raises(TypeError):
         fused_encode(encoders, imgs, bank, True, rng_of(0))
 

@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from adafuse.adapters import DENSITIES, DensityConfig, build_adapter_bank, routes_for
+from adafuse.adapters import DENSITIES, build_adapter_bank, routes_for
 from adafuse.budget import (adapter_param_count, analytic_count, budget_report,
                             empirical_count)
 from adafuse.cli import build_parser
@@ -15,8 +15,7 @@ B2 = EncoderConfig.preset("b2-like")
 
 
 def count_for(m, stages, density="pair-bi", bias=True, r=8, config=B2):
-    return analytic_count(config, DensityConfig(density, tuple(stages)), m, r,
-                          include_biases=bias)
+    return analytic_count(config, density, stages, m, r, include_biases=bias)
 
 
 # Frozen expected totals, derived by direct summation over stages:
@@ -58,7 +57,7 @@ def test_adapter_param_count_components():
 def test_analytic_equals_enumerated_bank(m, density):
     cfg = EncoderConfig.preset("b2-like")
     stages = (3, 4)
-    bank = build_adapter_bank(m, cfg, DensityConfig(density, stages), 8, seed=0)
+    bank = build_adapter_bank(m, cfg, density, stages, 8, seed=0)
     assert count_for(m, stages, density) == empirical_count(bank)
 
 
@@ -108,6 +107,15 @@ def test_analytic_count_validation():
         count_for(2, (0,))
 
 
+def test_repeated_or_unordered_stages_count_once():
+    tiny = EncoderConfig.preset("tiny")
+    assert analytic_count(tiny, "pair-bi", (4, 3, 3), 2, 8) == \
+        analytic_count(tiny, "pair-bi", (3, 4), 2, 8)
+    bank = build_adapter_bank(2, tiny, "pair-bi", (4, 3, 3), 8, seed=0)
+    assert bank.stages == (3, 4)
+    assert empirical_count(bank) == analytic_count(tiny, "pair-bi", (3, 4), 2, 8)
+
+
 @pytest.mark.parametrize("m,density,stages", [
     (2, "pair-bi", (0,)), (2, "pair-bi", (3, 5)), (1, "shared", (1,)),
     (2, "dense-everything", (1,))],
@@ -115,10 +123,10 @@ def test_analytic_count_validation():
 def test_closed_form_and_bank_refuse_the_same_inputs(m, density, stages):
     tiny = EncoderConfig.preset("tiny")
     messages = []
-    for count in (lambda d: analytic_count(tiny, d, m, 8),
-                  lambda d: build_adapter_bank(m, tiny, d, 8, seed=0)):
+    for count in (lambda: analytic_count(tiny, density, stages, m, 8),
+                  lambda: build_adapter_bank(m, tiny, density, stages, 8, seed=0)):
         with pytest.raises(ValueError) as exc:
-            count(DensityConfig(density, stages))
+            count()
         messages.append(str(exc.value))
     assert messages[0] == messages[1]
 

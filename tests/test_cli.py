@@ -44,6 +44,17 @@ def test_param_count_weights_only_convention(capsys):
     assert "count=135168" in capsys.readouterr().out
 
 
+def test_param_count_counts_repeated_or_unordered_stages_once(capsys):
+    outs = []
+    for stages in ("4,3,3", "3,4"):
+        assert run(["param-count", "--preset", "tiny", "--modalities", "2",
+                    "--density", "pair-bi", "--stages", stages, "--r", "8"]) == 0
+        outs.append(capsys.readouterr().out.splitlines())
+    assert "active_stages=3,4" in outs[0]
+    counts = [[line for line in out if line.startswith("count=")] for out in outs]
+    assert len(counts[0]) == 1 and counts[0] == counts[1]
+
+
 def test_equiv_check_exits_zero(capsys):
     assert run(["equiv-check", "--seed", "7"]) == 0
     assert "PASSED" in capsys.readouterr().out

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import adafuse as af
+from adafuse import encoder
 from adafuse.model import FusionModel, ModelConfig
 
 
@@ -24,14 +25,15 @@ def test_config_validation():
     ("preset", "huge", "unknown encoder preset 'huge'"),
     ("active_stages", (5,), "active_stages must be non-empty and within 1..4"),
     ("active_stages", (), "active_stages must be non-empty and within 1..4"),
-    ("channels", (-1, 1), "channels must be >= 1")])
+    ("channels", (-1, 1), "channels must be >= 1"),
+    ("density", "everything", "unknown density 'everything'")])
 def test_config_refuses_what_the_model_cannot_build(key, value, message):
     with pytest.raises(ValueError, match=message):
         ModelConfig(**{key: value})
     # one modality builds no adapter bank, so only the config can refuse
-    if key == "active_stages":
+    if key in ("active_stages", "density"):
         with pytest.raises(ValueError, match=message):
-            ModelConfig(modalities=("vis",), channels=(1,), active_stages=value)
+            ModelConfig(modalities=("vis",), channels=(1,), **{key: value})
 
 
 @pytest.mark.parametrize("key,value", [("use_ffm", 1), ("bottleneck", True), ("bottleneck", 2.0),
@@ -47,9 +49,13 @@ def test_from_dict_takes_an_int_for_a_float_and_a_list_for_a_tuple():
     assert (cfg.drop_path_rate, cfg.active_stages) == (0, (3, 4))
 
 
-def test_decoder_dim_defaults_per_preset():
+def test_decoder_dim_defaults_per_preset(monkeypatch):
     assert ModelConfig(preset="tiny").decoder_dim == 64
     assert ModelConfig(preset="b2-like").decoder_dim == 256
+    # half the deepest stage's width, for a preset added to PRESETS too
+    monkeypatch.setitem(encoder.PRESETS, "b1-like", encoder.EncoderConfig(
+        dims=(32, 64, 160, 320), heads=(1, 2, 5, 8)))
+    assert ModelConfig(preset="b1-like").decoder_dim == 160
 
 
 def test_config_roundtrips_through_dict():
