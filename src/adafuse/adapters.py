@@ -25,6 +25,12 @@ from .tensor import Tensor, ShapeError, drop_path, dropout, gelu, matmul
 DENSITIES = ("shared", "pair-bi", "pair-uni")
 
 
+def check_bottleneck(bottleneck: int) -> None:
+    """Refuse an adapter bottleneck width below 1."""
+    if bottleneck < 1:
+        raise ValueError(f"bottleneck width must be >= 1, got {bottleneck}")
+
+
 class CrossModalAdapter(Module):
     """Down-project / mid / up-project bottleneck MLP.
 
@@ -35,8 +41,7 @@ class CrossModalAdapter(Module):
 
     def __init__(self, dim: int, bottleneck: int, rng: np.random.Generator,
                  dropout_rate: float = 0.1, dtype=np.float64):
-        if bottleneck < 1:
-            raise ValueError(f"bottleneck width must be >= 1, got {bottleneck}")
+        check_bottleneck(bottleneck)
         self.dim = dim
         self.dropout_rate = dropout_rate
         self.w_down = trunc_normal((dim, bottleneck), rng, dtype=dtype)
@@ -53,10 +58,6 @@ class CrossModalAdapter(Module):
         mid = gelu(matmul(down, self.w_mid, self.b_mid))
         mid = dropout(mid, self.dropout_rate, rng=rng)
         return matmul(mid, self.w_up, self.b_up)
-
-    def copy_weights_from(self, other: "CrossModalAdapter") -> None:
-        for mine, theirs in zip(self.parameters(), other.parameters()):
-            mine.data[...] = theirs.data
 
 
 def route_key(variant: str, src: int, dst: int) -> tuple[int, ...]:

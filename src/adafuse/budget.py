@@ -10,7 +10,8 @@ bank carries.
 
 from __future__ import annotations
 
-from .adapters import AdapterBank, build_adapter_bank, fused_stages, routes_for
+from .adapters import (AdapterBank, build_adapter_bank, check_bottleneck, fused_stages,
+                       routes_for)
 from .encoder import EncoderConfig
 
 
@@ -29,8 +30,10 @@ def analytic_count(config: EncoderConfig, variant: str, active_stages,
     build for density ``variant`` in ``active_stages`` (repeats count
     once), in closed form, without building it."""
     routes = len(routes_for(variant, num_modalities))
+    layout = fused_stages(config, active_stages)
+    check_bottleneck(bottleneck)
     return sum(adapter_param_count(dim, bottleneck, include_biases) * 2 * routes * depth
-               for _, dim, depth in fused_stages(config, active_stages))
+               for _, dim, depth in layout)
 
 
 def empirical_count(bank: AdapterBank) -> int:

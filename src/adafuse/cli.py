@@ -45,7 +45,10 @@ def _load_config_file(path: str | None) -> dict:
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"config file {path!r} does not exist")
-    data = json.loads(p.read_text(encoding="utf-8"))
+    try:
+        data = json.loads(p.read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:   # JSON syntax, UTF-8 or nesting depth
+        raise ConfigError(f"unreadable config file {path!r}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file must hold a JSON object")
     unknown = set(data) - {"model", "train"}

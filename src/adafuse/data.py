@@ -187,7 +187,7 @@ def _named_blobs(manifest_path: Path) -> set[Path]:
         return obj
     try:
         json.loads(manifest_path.read_text(encoding="utf-8"), object_hook=collect)
-    except (OSError, ValueError):
+    except (OSError, ValueError, RecursionError):
         return set()
     return paths
 
@@ -206,7 +206,7 @@ def read_manifest(directory, kind: str,
         raise error(f"no {MANIFEST} under {directory}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except ValueError as exc:          # JSON syntax or UTF-8 decoding
+    except (ValueError, RecursionError) as exc:    # JSON syntax, UTF-8 or nesting depth
         raise error(f"unreadable {mpath}: {exc}") from None
     if not isinstance(manifest, dict):
         raise error(f"{mpath} does not hold a JSON object")
@@ -226,7 +226,8 @@ def manifest_fields(error: type[Exception] = DatasetError) -> Iterator[None]:
         yield
     except error:
         raise
-    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError,
+            OverflowError) as exc:
         raise error(f"malformed manifest: {type(exc).__name__}: {exc}") from None
 
 

@@ -13,7 +13,8 @@ import numpy as np
 from .data import (IGNORE_INDEX, SceneDataset, batch_iter, manifest_fields, read_blob,
                    read_manifest, stack_batch, write_store)
 from .model import ConfigCodec, FusionModel, ModelConfig
-from .tensor import Tensor, active_tape, backward, log_softmax, mul, no_grad, tsum
+from .tensor import (Tensor, active_tape, backward, log_softmax, mul, no_grad, reshape,
+                     transpose, tsum)
 
 
 class TrainingError(RuntimeError):
@@ -87,7 +88,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
     n_valid = int(valid.sum())
     if n_valid == 0:
         return Tensor(np.zeros((), dtype=logits.dtype))
-    flat = logits.transpose((0, 2, 3, 1)).reshape((-1, k))
+    flat = reshape(transpose(logits, (0, 2, 3, 1)), (-1, k))
     logp = log_softmax(flat)
     pick = np.zeros((flat_labels.size, k), dtype=logits.dtype)
     pick[valid, flat_labels[valid]] = 1.0 / n_valid

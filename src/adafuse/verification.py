@@ -1,24 +1,24 @@
 """Finite-difference and equivalence verification suites.
 
 Everything here checks the analytic machinery against an independent
-route: central differences for gradients, weight-copied banks for the
-density equivalences. Run via the CLI (``adafuse grad-check`` /
-``adafuse equiv-check``) or the test suite.
+route: central differences for gradients, banks that share one adapter
+per slot for the density equivalences. Run via the CLI (``adafuse
+grad-check`` / ``adafuse equiv-check``) or the test suite.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .adapters import (DENSITIES, AdapterBank, CrossModalAdapter, build_adapter_bank,
+from .adapters import (DENSITIES, CrossModalAdapter, build_adapter_bank,
                        fused_block_forward, fused_encode)
 from .data import IGNORE_INDEX
 from .encoder import Encoder, EncoderConfig, TransformerBlock
 from .gradcheck import grad_check_params
 from .model import FusionModel, ModelConfig
-from .tensor import (Tensor, attention, concat, drop_path, dropout,
-                     extract_patches, gelu, layer_norm, log_softmax, matmul,
-                     softmax, texp, tlog, tmean, tsum, upsample_bilinear)
+from .tensor import (Tensor, attention, concat, drop_path, dropout, extract_patches, gelu,
+                     layer_norm, log_softmax, matmul, reshape, softmax, sub, texp, tlog,
+                     tmean, transpose, tsum, upsample_bilinear)
 from .training import cross_entropy
 
 
@@ -36,7 +36,7 @@ def primitive_checks(seed: int) -> dict[str, float]:
 
     x, y = _t(rng, 2, 5), _t(rng, 2, 5)
     errs["add"] = grad_check_params(lambda: tsum((x + y) * (x + y)), [x, y])
-    errs["sub"] = grad_check_params(lambda: tsum((x - y) * x), [x, y])
+    errs["sub"] = grad_check_params(lambda: tsum(sub(x, y) * x), [x, y])
     errs["mul"] = grad_check_params(lambda: tsum(x * y * 0.7), [x, y])
     bias = _t(rng, 5)
     errs["broadcast_add_bias"] = grad_check_params(
@@ -59,7 +59,8 @@ def primitive_checks(seed: int) -> dict[str, float]:
 
     w = _t(rng, 2, 3, 4)
     errs["reshape_transpose"] = grad_check_params(
-        lambda: tsum(w.reshape(3, 8) * 0.5) + tsum(w.transpose(2, 0, 1) * w.transpose(2, 0, 1)),
+        lambda: tsum(reshape(w, (3, 8)) * 0.5)
+        + tsum(transpose(w, (2, 0, 1)) * transpose(w, (2, 0, 1))),
         [w])
     c1, c2 = _t(rng, 2, 3), _t(rng, 2, 2)
     errs["concat"] = grad_check_params(
@@ -161,6 +162,8 @@ def gradient_suite(seeds=range(10), tol: float = 1e-4) -> dict:
     seeds = list(seeds)
     if not seeds:
         raise ValueError("the gradient suite needs at least one seed")
+    if not 0.0 < tol < np.inf:
+        raise ValueError(f"the gradient suite needs a positive finite tolerance, got {tol}")
     worst: dict[str, float] = {}
     for seed in seeds:
         for name, err in primitive_checks(seed).items():
@@ -176,19 +179,15 @@ def gradient_suite(seeds=range(10), tol: float = 1e-4) -> dict:
 # density equivalence verification
 # ---------------------------------------------------------------------
 
-def _copy_bank_weights(dst: AdapterBank, src_weights: dict) -> None:
-    for (stage, block, pos, _route), adapter in dst.adapters.items():
-        adapter.copy_weights_from(src_weights[(stage, block, pos)])
-
-
 def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
                               dtype=np.float64) -> dict:
     """Verify the two-modality density equivalences, and that they break
     for three modalities.
 
     With M=2 there is exactly one modality pair, so a shared bank and a
-    pair-bidirectional bank with copied weights are the same function;
-    a pair-unidirectional bank with both directions tied matches too.
+    pair-bidirectional bank whose one adapter per slot is the shared
+    bank's are the same function; a pair-unidirectional bank with both
+    directions tied to that adapter matches too.
     With M=3, independently initialized per-pair adapters differ from a
     shared one.
     """
@@ -202,17 +201,16 @@ def check_density_equivalence(seed: int = 0, num_inputs: int = 10,
         banks[variant] = build_adapter_bank(
             2, config, variant, (1, 2, 3, 4), bottleneck=4,
             seed=seed, dropout_rate=0.0, dtype=dtype)
-    # One reference weight set per (stage, block, position), copied into
-    # every route of every bank. Up-projections are randomized first; at
+    # Every route of every bank uses the shared bank's adapter for its
+    # (stage, block, position). Up-projections are randomized first; at
     # their zero init every density is trivially identical.
-    reference = {}
+    shared = banks["shared"]
     fill = np.random.default_rng(seed + 101)
-    for (stage, block, pos, route), adapter in sorted(banks["shared"].adapters.items()):
+    for _key, adapter in sorted(shared.adapters.items()):
         adapter.w_up.data[...] = fill.normal(0.0, 0.05, adapter.w_up.shape)
         adapter.b_up.data[...] = fill.normal(0.0, 0.05, adapter.b_up.shape)
-        reference[(stage, block, pos)] = adapter
-    for variant in ("pair-bi", "pair-uni"):
-        _copy_bank_weights(banks[variant], reference)
+    for bank in (banks["pair-bi"], banks["pair-uni"]):
+        bank.adapters = {key: shared.adapters[key[:3] + ((),)] for key in bank.adapters}
 
     rng = np.random.default_rng(seed)
     same_bi = True

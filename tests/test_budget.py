@@ -116,15 +116,17 @@ def test_repeated_or_unordered_stages_count_once():
     assert empirical_count(bank) == analytic_count(tiny, "pair-bi", (3, 4), 2, 8)
 
 
-@pytest.mark.parametrize("m,density,stages", [
-    (2, "pair-bi", (0,)), (2, "pair-bi", (3, 5)), (1, "shared", (1,)),
-    (2, "dense-everything", (1,))],
-    ids=["stage-0", "stage-5", "one-modality", "unknown-density"])
-def test_closed_form_and_bank_refuse_the_same_inputs(m, density, stages):
+@pytest.mark.parametrize("m,density,stages,r", [
+    (2, "pair-bi", (0,), 8), (2, "pair-bi", (3, 5), 8), (1, "shared", (1,), 8),
+    (2, "dense-everything", (1,), 8), (2, "pair-bi", (3, 4), 0),
+    (2, "pair-bi", (3, 4), -3)],
+    ids=["stage-0", "stage-5", "one-modality", "unknown-density", "bottleneck-0",
+         "bottleneck-negative"])
+def test_closed_form_and_bank_refuse_the_same_inputs(m, density, stages, r):
     tiny = EncoderConfig.preset("tiny")
     messages = []
-    for count in (lambda: analytic_count(tiny, density, stages, m, 8),
-                  lambda: build_adapter_bank(m, tiny, density, stages, 8, seed=0)):
+    for count in (lambda: analytic_count(tiny, density, stages, m, r),
+                  lambda: build_adapter_bank(m, tiny, density, stages, r, seed=0)):
         with pytest.raises(ValueError) as exc:
             count()
         messages.append(str(exc.value))

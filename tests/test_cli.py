@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from adafuse import training
+from adafuse import training, verification
 from adafuse.cli import _resolve_train_configs, build_parser, main
 from adafuse.data import generate_synthetic, load_dataset, save_dataset
 from adafuse.model import FusionModel, ModelConfig
@@ -620,6 +620,15 @@ def test_grad_check_with_no_seeds_is_a_config_error(capsys, seeds):
     assert "at least one seed" in err
 
 
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_grad_check_with_a_tolerance_that_is_not_positive_and_finite_is_a_config_error(
+        capsys, monkeypatch, tol):
+    monkeypatch.setattr(verification, "primitive_checks",
+                        lambda seed: pytest.fail("a check ran"))
+    assert run(["grad-check", "--seeds", "1", "--tol", tol]) == 2
+    assert "positive finite tolerance" in capsys.readouterr().err
+
+
 def test_synth_data_with_a_class_id_at_the_ignore_index_is_a_config_error(tmp_path,
                                                                            capsys):
     out = tmp_path / "ds"
@@ -646,3 +655,48 @@ def test_synth_data_with_no_samples_is_a_config_error(tmp_path, capsys, samples)
     assert run(["synth-data", "--out", str(out), "--samples", samples]) == 2
     assert "need at least one sample" in capsys.readouterr().err
     assert not out.exists()
+
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000
+
+
+def _put_raw(path, edit, raw):
+    """Rewrite the JSON file ``path`` by ``edit``; its value "RAW" becomes the text ``raw``."""
+    manifest = json.loads(path.read_text())
+    edit(manifest)
+    path.write_text(json.dumps(manifest).replace('"RAW"', raw))
+
+
+@pytest.mark.parametrize("case", ["dataset-height-1e400", "checkpoint-shape-1e400",
+                                  "deep-dataset-manifest", "deep-config-file",
+                                  "deep-old-manifest"])
+def test_malformed_json_exits_with_the_documented_code(tmp_path, capsys, case):
+    dirs = eval_inputs(tmp_path)
+    data, checkpoint = dirs["data"], dirs["checkpoint"]
+    train = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
+             "--warmup-epochs", "0"]
+    evaluate = ["eval", "--checkpoint", str(checkpoint), "--data", str(data)]
+    if case == "dataset-height-1e400":
+        _put_raw(data / "manifest.json", lambda m: m.update(height="RAW"), "1e400")
+        runs = [(train, 3, "i/o error"), (evaluate, 3, "i/o error")]
+    elif case == "checkpoint-shape-1e400":
+        _put_raw(checkpoint / "manifest.json",
+                 lambda m: m["params"][0].update(shape=["RAW"]), "1e400")
+        runs = [(evaluate, 3, "i/o error")]
+    elif case == "deep-dataset-manifest":
+        (data / "manifest.json").write_text(DEEP_JSON)
+        runs = [(evaluate, 3, "i/o error")]
+    elif case == "deep-config-file":
+        (tmp_path / "config.json").write_text(DEEP_JSON)
+        runs = [(train + ["--config", str(tmp_path / "config.json")], 2, "config error")]
+    else:
+        (data / "manifest.json").write_text(DEEP_JSON)
+        (data / "notes.txt").write_text("kept")
+        runs = [(["synth-data", "--out", str(data), "--samples", "2"], 0, "")]
+    for argv, code, prefix in runs:
+        assert run(argv) == code
+        assert capsys.readouterr().err.startswith(prefix)
+        assert not (tmp_path / "run").exists()
+    if case == "deep-old-manifest":
+        assert len(load_dataset(data)) == 2
+        assert (data / "notes.txt").read_text() == "kept"
