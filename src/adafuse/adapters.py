@@ -42,7 +42,6 @@ class CrossModalAdapter(Module):
     def __init__(self, dim: int, bottleneck: int, rng: np.random.Generator,
                  dropout_rate: float = 0.1, dtype=np.float64):
         check_bottleneck(bottleneck)
-        self.dim = dim
         self.dropout_rate = dropout_rate
         self.w_down = trunc_normal((dim, bottleneck), rng, dtype=dtype)
         self.b_down = zeros(bottleneck, dtype=dtype)
@@ -52,8 +51,6 @@ class CrossModalAdapter(Module):
         self.b_up = zeros(dim, dtype=dtype)
 
     def __call__(self, x: Tensor, *, rng: Optional[np.random.Generator] = None) -> Tensor:
-        if x.shape[-1] != self.dim:
-            raise ShapeError(f"adapter built for dim {self.dim}, got {x.shape}")
         down = matmul(x, self.w_down, self.b_down)
         mid = gelu(matmul(down, self.w_mid, self.b_mid))
         mid = dropout(mid, self.dropout_rate, rng=rng)

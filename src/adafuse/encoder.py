@@ -110,7 +110,6 @@ class Attention(Module):
                  rng: np.random.Generator, dtype=np.float64):
         if dim % heads != 0:
             raise ShapeError(f"dim {dim} not divisible by {heads} heads")
-        self.dim = dim
         self.heads = heads
         self.sr_ratio = sr_ratio
         def lin(n_in, n_out):
@@ -128,9 +127,6 @@ class Attention(Module):
             self.sr_beta = zeros(dim, dtype=dtype)
 
     def __call__(self, x: Tensor, h: int, w: int) -> Tensor:
-        d = x.shape[-1]
-        if d != self.dim:
-            raise ShapeError(f"attention built for dim {self.dim}, got {d}")
         q = matmul(x, self.wq, self.bq)
         if self.sr_ratio > 1:
             if h % self.sr_ratio or w % self.sr_ratio:

@@ -8,7 +8,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adapters import AdapterBank, build_adapter_bank, fused_encode, routes_for
+from .adapters import (AdapterBank, build_adapter_bank, check_bottleneck, fused_encode,
+                       fused_stages, routes_for)
 from .encoder import Encoder, EncoderConfig
 from .heads import Decoder, FeatureFusion, modal_merge
 from .initializers import Module
@@ -97,19 +98,19 @@ class ModelConfig(ConfigCodec):
         if self.dtype not in DTYPES:
             raise ValueError(f"dtype must be one of {sorted(DTYPES)}")
         routes_for(self.density, 2)
-        n = EncoderConfig.preset(self.preset).num_stages
-        if not self.active_stages or not all(1 <= s <= n for s in self.active_stages):
-            raise ValueError(f"active_stages must be non-empty and within 1..{n}")
+        preset = EncoderConfig.preset(self.preset)
+        fused_stages(preset, self.active_stages)
         if min(self.channels) < 1:
             raise ValueError("channels must be >= 1")
         if not (0.0 <= self.adapter_dropout < 1.0 and 0.0 <= self.drop_path_rate < 1.0):
             raise ValueError("adapter_dropout and drop_path_rate must be in [0, 1)")
-        for key, low in (("num_classes", 2), ("bottleneck", 1), ("decoder_dim", 0),
-                         ("seed", 0)):
-            if getattr(self, key) < low:
-                raise ValueError(f"{key} must be >= {low}")
-        if self.decoder_dim == 0:
-            self.decoder_dim = EncoderConfig.preset(self.preset).dims[-1] // 2
+        if self.num_classes < 2:
+            raise ValueError("num_classes must be >= 2")
+        check_bottleneck(self.bottleneck)
+        for key in ("decoder_dim", "seed"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
+        self.decoder_dim = self.decoder_dim or preset.dims[-1] // 2
 
     @property
     def num_modalities(self) -> int:

@@ -323,14 +323,12 @@ def load_checkpoint(directory) -> FusionModel:
     manifest = read_manifest(directory, "checkpoint", CheckpointError)
     root = Path(directory)
     with manifest_fields(CheckpointError):
-        config = ModelConfig.from_dict(manifest["model_config"])
-    model = FusionModel(config)
-    lookup = dict(model.named_parameters())
-    with manifest_fields(CheckpointError):
+        model = FusionModel(ModelConfig.from_dict(manifest["model_config"]))
+        lookup = dict(model.named_parameters())
         dtype = manifest["blob_dtype"]
-        if dtype != config.np_dtype().str:
+        if dtype != model.config.np_dtype().str:
             raise CheckpointError(f"unsupported blob dtype {dtype!r} for a "
-                                  f"{config.dtype} model")
+                                  f"{model.config.dtype} model")
         for rec in manifest["params"]:
             name = rec["name"]
             if name not in lookup:

@@ -117,20 +117,25 @@ def test_repeated_or_unordered_stages_count_once():
 
 
 @pytest.mark.parametrize("m,density,stages,r", [
-    (2, "pair-bi", (0,), 8), (2, "pair-bi", (3, 5), 8), (1, "shared", (1,), 8),
-    (2, "dense-everything", (1,), 8), (2, "pair-bi", (3, 4), 0),
+    (2, "pair-bi", (0,), 8), (2, "pair-bi", (3, 5), 8), (2, "pair-bi", (), 8),
+    (1, "shared", (1,), 8), (2, "dense-everything", (1,), 8), (2, "pair-bi", (3, 4), 0),
     (2, "pair-bi", (3, 4), -3)],
-    ids=["stage-0", "stage-5", "one-modality", "unknown-density", "bottleneck-0",
-         "bottleneck-negative"])
+    ids=["stage-0", "stage-5", "no-stages", "one-modality", "unknown-density",
+         "bottleneck-0", "bottleneck-negative"])
 def test_closed_form_and_bank_refuse_the_same_inputs(m, density, stages, r):
     tiny = EncoderConfig.preset("tiny")
+    checks = [lambda: analytic_count(tiny, density, stages, m, r),
+              lambda: build_adapter_bank(m, tiny, density, stages, r, seed=0)]
+    if m == 2:
+        checks.append(lambda: ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
+                                          density=density, active_stages=stages,
+                                          bottleneck=r))
     messages = []
-    for count in (lambda: analytic_count(tiny, density, stages, m, r),
-                  lambda: build_adapter_bank(m, tiny, density, stages, r, seed=0)):
+    for check in checks:
         with pytest.raises(ValueError) as exc:
-            count()
+            check()
         messages.append(str(exc.value))
-    assert messages[0] == messages[1]
+    assert len(set(messages)) == 1, messages
 
 
 @pytest.mark.parametrize("key,name", [("density", d) for d in DENSITIES]

@@ -413,6 +413,11 @@ def test_out_of_range_config_value_is_refused_before_anything_is_written(
     assert not out.exists()
 
 
+SIZE_OR_SEED_REFUSALS = {"decoder_dim": "decoder_dim must be >= 0",
+                         "bottleneck": "bottleneck width must be >= 1, got 0",
+                         "seed": "seed must be >= 0"}
+
+
 @pytest.mark.parametrize("key,value", [("decoder_dim", -3), ("bottleneck", 0), ("seed", -1)])
 def test_out_of_range_model_size_or_seed_is_refused_before_anything_is_written(
         tmp_path, capsys, key, value):
@@ -427,7 +432,7 @@ def test_out_of_range_model_size_or_seed_is_refused_before_anything_is_written(
     code = run(["train", "--data", str(data_dir), "--out", str(out),
                 "--config", str(cfg_file)])
     assert code == 2
-    assert f"config error: {key} must be >= " in capsys.readouterr().err
+    assert f"config error: {SIZE_OR_SEED_REFUSALS[key]}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -442,7 +447,7 @@ def test_eval_checkpoint_model_size_or_seed_out_of_range_is_io_error(tmp_path, c
     code = run(["eval", "--checkpoint", str(dirs["checkpoint"]), "--data", str(dirs["data"])])
     assert code == 3
     err = capsys.readouterr().err
-    assert "i/o error" in err and f"{key} must be >= " in err
+    assert "i/o error" in err and SIZE_OR_SEED_REFUSALS[key] in err
 
 
 @pytest.mark.parametrize("key,value", [("adapter_dropout", 1.0), ("adapter_dropout", -0.1),
@@ -462,9 +467,16 @@ def test_eval_checkpoint_config_value_out_of_range_is_io_error(tmp_path, capsys,
 
 @pytest.mark.parametrize("key,value,message", [
     ("preset", "huge", "unknown encoder preset 'huge'"),
-    ("active_stages", [5], "active_stages must be non-empty and within 1..4"),
-    ("active_stages", [], "active_stages must be non-empty and within 1..4"),
-    ("channels", [-1, 1], "channels must be >= 1")])
+    ("active_stages", [5], "active stage 5 outside 1..4"),
+    ("active_stages", [], "active_stages must be non-empty"),
+    ("channels", [-1, 1], "channels must be >= 1"),
+    # in range but too large for numpy to allocate: refused before any memory is taken
+    pytest.param("bottleneck", 10**400, "Maximum allowed dimension exceeded",
+                 id="bottleneck-huge"),
+    pytest.param("decoder_dim", 10**400, "Maximum allowed dimension exceeded",
+                 id="decoder_dim-huge"),
+    pytest.param("channels", [10**400, 1], "Maximum allowed dimension exceeded",
+                 id="channels-huge")])
 def test_eval_checkpoint_model_structure_out_of_range_is_io_error(tmp_path, capsys,
                                                                   key, value, message):
     dirs = eval_inputs(tmp_path)
@@ -488,7 +500,7 @@ def test_single_modality_config_with_a_stage_outside_the_preset_is_refused(tmp_p
     code = run(["train", "--data", str(data_dir), "--out", str(out),
                 "--config", str(cfg_file)])
     assert code == 2
-    assert "active_stages must be non-empty and within 1..4" in capsys.readouterr().err
+    assert "active stage 5 outside 1..4" in capsys.readouterr().err
     assert not out.exists()
 
 

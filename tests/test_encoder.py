@@ -107,6 +107,12 @@ def test_attention_head_divisibility():
         Attention(10, heads=4, sr_ratio=1, rng=rng_of(10))
 
 
+def test_attention_refuses_a_token_width_it_was_not_built_for():
+    attn = Attention(8, heads=2, sr_ratio=1, rng=rng_of(10))
+    with pytest.raises(ShapeError):
+        attn(af.Tensor(rng_of(11).normal(size=(2, 4, 6))), 2, 2)
+
+
 @pytest.mark.parametrize("sr", [1, 2])
 def test_attention_gradient(sr):
     attn = Attention(4, heads=2, sr_ratio=sr, rng=rng_of(11))

@@ -23,8 +23,8 @@ def test_config_validation():
 
 @pytest.mark.parametrize("key,value,message", [
     ("preset", "huge", "unknown encoder preset 'huge'"),
-    ("active_stages", (5,), "active_stages must be non-empty and within 1..4"),
-    ("active_stages", (), "active_stages must be non-empty and within 1..4"),
+    ("active_stages", (5,), "active stage 5 outside 1..4"),
+    ("active_stages", (), "active_stages must be non-empty"),
     ("channels", (-1, 1), "channels must be >= 1"),
     ("density", "everything", "unknown density 'everything'")])
 def test_config_refuses_what_the_model_cannot_build(key, value, message):
