@@ -153,11 +153,6 @@ def fused_block_forward(xs: list[Tensor], blocks: list, h: int, w: int,
     any of them is applied, so modality iteration order cannot matter.
     """
     m = len(xs)
-    shape0 = xs[0].shape
-    for x in xs[1:]:
-        if x.shape != shape0:
-            raise ShapeError(f"modality token shapes differ: {shape0} vs {x.shape}")
-
     zs = list(xs)
     for position in (1, 2):
         if position == 1:
@@ -188,17 +183,21 @@ def fused_encode(encoders: list[Encoder], images: list,
     per-modality path; ``rng`` means training. Each modality's input is a
     [B, C, H, W] image, or a list holding the maps of its first k stages
     (computed earlier); encoding then resumes at stage k + 1. ``stages``
-    stops after that many stages.
+    stops after that many stages. The layers below rely on its shape checks.
     """
     m = len(encoders)
     if len(images) != m:
         raise ShapeError(f"{m} encoders but {len(images)} modality images")
     pyramids = [list(x) if isinstance(x, list) else [] for x in images]
     current = [p[-1] if p else x for p, x in zip(pyramids, images)]
-    for p, x in zip(pyramids[1:], current[1:]):
-        if len(p) != len(pyramids[0]) or x.shape[-2:] != current[0].shape[-2:]:
-            raise ShapeError("modality images must share spatial dims")
     config = encoders[0].config
+    multiple = 1 if pyramids[0] else config.size_multiple
+    shapes = [x.shape for x in current]
+    for p, shape in zip(pyramids, shapes):
+        if (len(p) != len(pyramids[0]) or len(shape) != 4 or shape[0] != shapes[0][0]
+                or shape[2:] != shapes[0][2:] or shape[2] % multiple or shape[3] % multiple):
+            raise ShapeError(f"modality inputs must be [B, C, H, W] with one B, H and W, "
+                             f"and sides multiples of {multiple}: got {shapes}")
     active = bank.stages if bank is not None else ()
 
     stop = config.num_stages if stages is None else stages

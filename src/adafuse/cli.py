@@ -212,7 +212,10 @@ def cmd_train(args) -> int:
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     if eval_set is not None:
         _check_dataset(eval_set, model_cfg)
-    model = FusionModel(model_cfg)
+    try:
+        model = FusionModel(model_cfg)
+    except MemoryError as exc:
+        raise ConfigError(f"model too large to allocate: {exc}") from None
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

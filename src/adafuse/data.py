@@ -221,13 +221,13 @@ def read_manifest(directory, kind: str,
 @contextlib.contextmanager
 def manifest_fields(error: type[Exception] = DatasetError) -> Iterator[None]:
     """Raise ``error`` for a missing or ill-typed manifest field read
-    inside the block."""
+    inside the block, or for one too large to allocate."""
     try:
         yield
     except error:
         raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
-            OverflowError) as exc:
+            OverflowError, MemoryError) as exc:
         raise error(f"malformed manifest: {type(exc).__name__}: {exc}") from None
 
 

@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .initializers import Module, derive_rng, ones, trunc_normal, zeros
-from .tensor import (Tensor, ShapeError, attention, drop_path, extract_patches,
+from .tensor import (Tensor, attention, drop_path, extract_patches,
                      gelu, layer_norm, matmul, reshape, transpose)
 
 
@@ -76,7 +76,8 @@ def map_to_tokens(x: Tensor) -> Tensor:
 
 
 class PatchEmbed(Module):
-    """Overlapping strided linear patch projection + layer norm."""
+    """Overlapping strided linear patch projection + layer norm. A side not
+    a multiple of the stride (``fused_encode`` refuses it) rounds up."""
 
     def __init__(self, in_channels: int, dim: int, stride: int,
                  rng: np.random.Generator, dtype=np.float64):
@@ -89,27 +90,20 @@ class PatchEmbed(Module):
         self.norm_beta = zeros(dim, dtype=dtype)
 
     def __call__(self, x: Tensor) -> tuple[Tensor, tuple[int, int]]:
-        if x.ndim != 4:
-            raise ShapeError(f"patch embed expects [B, C, H, W], got {x.shape}")
-        h, w = x.shape[2], x.shape[3]
-        if h % self.stride or w % self.stride:
-            raise ShapeError(
-                f"spatial dims {h}x{w} not divisible by patch stride {self.stride}")
         patches = extract_patches(x, self.kernel, self.stride, self.pad)
         tokens = matmul(patches, self.weight, self.bias)
         tokens = layer_norm(tokens, self.norm_gamma, self.norm_beta)
-        return tokens, (h // self.stride, w // self.stride)
+        return tokens, tuple((side + self.pad) // self.stride for side in x.shape[2:])
 
 
 class Attention(Module):
     """Multi-head scaled dot-product attention with optional K/V
     spatial reduction (keys and values computed on an sr x sr pooled
-    token grid)."""
+    token grid). A grid side not a multiple of ``sr_ratio`` (``fused_encode``
+    refuses it) pools only its whole windows, rounding down."""
 
     def __init__(self, dim: int, heads: int, sr_ratio: int,
                  rng: np.random.Generator, dtype=np.float64):
-        if dim % heads != 0:
-            raise ShapeError(f"dim {dim} not divisible by {heads} heads")
         self.heads = heads
         self.sr_ratio = sr_ratio
         def lin(n_in, n_out):
@@ -129,9 +123,6 @@ class Attention(Module):
     def __call__(self, x: Tensor, h: int, w: int) -> Tensor:
         q = matmul(x, self.wq, self.bq)
         if self.sr_ratio > 1:
-            if h % self.sr_ratio or w % self.sr_ratio:
-                raise ShapeError(
-                    f"token grid {h}x{w} not divisible by sr_ratio {self.sr_ratio}")
             grid = tokens_to_map(x, h, w)
             pooled = extract_patches(grid, self.sr_ratio, self.sr_ratio, 0)
             kv_src = matmul(pooled, self.w_sr, self.b_sr)

@@ -66,16 +66,12 @@ def modal_merge(stage_feats: list[Tensor], ffm_stage: Optional[StageFusion] = No
     Mean across modalities by default; with a fusion stage, channel
     concat followed by its two-layer projection.
     """
-    shape0 = stage_feats[0].shape
-    for f in stage_feats[1:]:
-        if f.shape != shape0:
-            raise ShapeError(f"modality features differ in shape: {shape0} vs {f.shape}")
     if ffm_stage is None:
         total = stage_feats[0]
         for f in stage_feats[1:]:
             total = total + f
         return total * (1.0 / len(stage_feats))
-    h, w = shape0[-2], shape0[-1]
+    h, w = stage_feats[0].shape[-2:]
     tokens = concat([map_to_tokens(f) for f in stage_feats], axis=-1)
     return tokens_to_map(ffm_stage(tokens), h, w)
 

@@ -13,8 +13,8 @@ import numpy as np
 from .data import (IGNORE_INDEX, SceneDataset, batch_iter, manifest_fields, read_blob,
                    read_manifest, stack_batch, write_store)
 from .model import ConfigCodec, FusionModel, ModelConfig
-from .tensor import (Tensor, active_tape, backward, log_softmax, mul, no_grad, reshape,
-                     transpose, tsum)
+from .tensor import (Tensor, ShapeError, active_tape, backward, log_softmax, mul, no_grad,
+                     reshape, transpose, tsum)
 
 
 class TrainingError(RuntimeError):
@@ -74,11 +74,13 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
                   ignore_index: int = IGNORE_INDEX) -> Tensor:
     """Mean over non-ignored pixels of -log softmax(logits)[label].
 
-    ``logits`` is [B, K, H, W]; ``labels`` matches its spatial/batch
-    dims. All-ignored input yields a constant 0.
+    ``logits`` is [B, K, H, W]; ``labels`` must be [B, H, W].
+    All-ignored input yields a constant 0.
     """
     b, k, h, w = logits.shape
-    labels = np.asarray(labels).reshape(b, h, w)
+    labels = np.asarray(labels)
+    if labels.shape != (b, h, w):
+        raise ShapeError(f"labels must be [B, H, W] = {(b, h, w)}, got {labels.shape}")
     flat_labels = labels.reshape(-1)
     valid = flat_labels != ignore_index
     bad = valid & ((flat_labels < 0) | (flat_labels >= k))
@@ -234,10 +236,12 @@ class ConfusionMatrix:
         self.counts = np.zeros((num_classes, num_classes), dtype=np.int64)
 
     def update(self, prediction: np.ndarray, label: np.ndarray) -> None:
-        prediction = np.asarray(prediction).reshape(-1)
-        label = np.asarray(label).reshape(-1).astype(np.int64)
+        prediction, label = np.asarray(prediction), np.asarray(label)
         if prediction.shape != label.shape:
-            raise ValueError("prediction and label sizes differ")
+            raise ShapeError(f"prediction {prediction.shape} and label {label.shape} "
+                             "shapes differ")
+        prediction = prediction.reshape(-1)
+        label = label.reshape(-1).astype(np.int64)
         keep = label != self.ignore_index
         idx = label[keep] * self.num_classes + prediction[keep]
         self.counts += np.bincount(idx, minlength=self.num_classes ** 2) \

@@ -10,7 +10,7 @@ import adafuse as af
 from adafuse.adapters import (CrossModalAdapter, build_adapter_bank,
                               fused_block_forward, fused_encode, route_key,
                               routes_for)
-from adafuse.encoder import Encoder, EncoderConfig, TransformerBlock
+from adafuse.encoder import Encoder, EncoderConfig, PatchEmbed, TransformerBlock
 from adafuse.gradcheck import grad_check_params
 from adafuse.verification import check_density_equivalence
 
@@ -300,12 +300,28 @@ def test_fused_encode_takes_the_layout_from_the_bank_only():
         fused_encode(encoders, imgs, bank, True, rng_of(0))
 
 
-def test_fused_encode_rejects_mismatched_spatial_dims():
+def _maps(*shapes):
+    return [af.Tensor(np.zeros(shape)) for shape in shapes]
+
+
+@pytest.mark.parametrize("images", [
+    _maps((1, 1, 32, 32), (1, 1, 64, 64)),
+    _maps((2, 1, 32, 32), (1, 1, 32, 32)),
+    _maps((1, 32, 32), (1, 32, 32)),
+    _maps((1, 1, 48, 48), (1, 1, 48, 48)),
+    [_maps((1, 16, 8, 8)), _maps((1, 16, 8, 8), (1, 32, 4, 4))],
+    [_maps((1, 16, 8, 8)), _maps((2, 16, 8, 8))]],
+    ids=["spatial-dims-differ", "batch-sizes-differ", "not-4d", "not-multiples-of-32",
+         "cached-stage-counts-differ", "cached-batch-sizes-differ"])
+def test_fused_encode_refuses_bad_inputs_before_any_patch_embed(images, monkeypatch):
+    calls = []
+    real = PatchEmbed.__call__
+    monkeypatch.setattr(PatchEmbed, "__call__", lambda self, x: calls.append(x) or real(self, x))
     encoders = _encoders(2, seed=9)
-    with pytest.raises(af.ShapeError):
-        fused_encode(encoders,
-                     [af.Tensor(np.zeros((1, 1, 32, 32))),
-                      af.Tensor(np.zeros((1, 1, 64, 64)))], None)
+    bank = build_adapter_bank(2, encoders[0].config, "pair-bi", (3, 4), 4, seed=9)
+    with pytest.raises(af.ShapeError, match=r"\[B, C, H, W\] with one B, H and W"):
+        fused_encode(encoders, images, bank)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------

@@ -436,6 +436,21 @@ def test_out_of_range_model_size_or_seed_is_refused_before_anything_is_written(
     assert not out.exists()
 
 
+def test_train_config_too_large_to_allocate_is_refused_before_anything_is_written(
+        tmp_path, capsys):
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"model": {"decoder_dim": 10**15},
+                                    "train": {"epochs": 1, "warmup_epochs": 0,
+                                              "batch_size": 2}}))
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--out", str(out),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert "config error: model too large to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key,value", [("decoder_dim", -3), ("bottleneck", 0), ("seed", -1)])
 def test_eval_checkpoint_model_size_or_seed_out_of_range_is_io_error(tmp_path, capsys,
                                                                      key, value):
@@ -476,7 +491,11 @@ def test_eval_checkpoint_config_value_out_of_range_is_io_error(tmp_path, capsys,
     pytest.param("decoder_dim", 10**400, "Maximum allowed dimension exceeded",
                  id="decoder_dim-huge"),
     pytest.param("channels", [10**400, 1], "Maximum allowed dimension exceeded",
-                 id="channels-huge")])
+                 id="channels-huge"),
+    # in numpy's range but past any address space: the allocation fails at once
+    pytest.param("bottleneck", 10**15, "Unable to allocate", id="bottleneck-unallocatable"),
+    pytest.param("decoder_dim", 10**15, "Unable to allocate", id="decoder_dim-unallocatable"),
+    pytest.param("channels", [10**15, 1], "Unable to allocate", id="channels-unallocatable")])
 def test_eval_checkpoint_model_structure_out_of_range_is_io_error(tmp_path, capsys,
                                                                   key, value, message):
     dirs = eval_inputs(tmp_path)

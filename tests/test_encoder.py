@@ -75,12 +75,6 @@ def test_patch_embed_zero_image_gives_identical_bias_rows():
     assert np.allclose(tokens.data, expected[None, None, :], atol=1e-12)
 
 
-def test_patch_embed_rejects_non_divisible_dims():
-    pe = PatchEmbed(1, 8, stride=4, rng=rng_of(5))
-    with pytest.raises(ShapeError, match="divisible"):
-        pe(af.Tensor(np.zeros((1, 1, 30, 32))))
-
-
 # ---------------------------------------------------------------------
 # attention
 # ---------------------------------------------------------------------
@@ -103,8 +97,9 @@ def test_attention_preserves_shape():
 
 
 def test_attention_head_divisibility():
-    with pytest.raises(ShapeError):
-        Attention(10, heads=4, sr_ratio=1, rng=rng_of(10))
+    attn = Attention(10, heads=4, sr_ratio=1, rng=rng_of(10))
+    with pytest.raises(ShapeError, match="heads"):
+        attn(af.Tensor(rng_of(11).normal(size=(1, 4, 10))), 2, 2)
 
 
 def test_attention_refuses_a_token_width_it_was_not_built_for():
@@ -183,10 +178,15 @@ def test_encoder_eval_forward_is_deterministic():
         assert np.array_equal(fa.data, fb.data)
 
 
-def test_encoder_rejects_bad_spatial_dims():
-    enc = Encoder(EncoderConfig.preset("tiny"), in_channels=1, seed=3)
-    with pytest.raises(ShapeError):
-        fused_encode([enc], [af.Tensor(np.zeros((1, 1, 30, 30)))], None)
+@pytest.mark.parametrize("config,h,w", [
+    (EncoderConfig.preset("tiny"), 30, 30),
+    (EncoderConfig.preset("tiny"), 30, 32),
+    (EncoderConfig(sr_ratios=(2, 2, 1, 4)), 32, 32)],     # size_multiple 128
+    ids=["30x30", "30x32", "sr-multiple-128-at-32x32"])
+def test_encoder_rejects_bad_spatial_dims(config, h, w):
+    enc = Encoder(config, in_channels=1, seed=3)
+    with pytest.raises(ShapeError, match="multiples of"):
+        fused_encode([enc], [af.Tensor(np.zeros((1, 1, h, w)))], None)
 
 
 def reference_encode(enc, x, *, rng=None):

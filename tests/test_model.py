@@ -88,6 +88,19 @@ def test_forward_takes_a_dict_of_batches_only():
     assert not callable(model)
 
 
+def test_forward_refuses_a_batch_mismatch_before_any_patch_embed(monkeypatch):
+    calls = []
+    real = encoder.PatchEmbed.__call__
+    monkeypatch.setattr(encoder.PatchEmbed, "__call__",
+                        lambda self, x: calls.append(x) or real(self, x))
+    model = FusionModel(ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
+                                    num_classes=3, active_stages=(3, 4), dtype="float32"))
+    rng = np.random.default_rng(3)
+    with pytest.raises(af.ShapeError, match="one B, H and W"):
+        model.forward({"vis": rng.random((2, 1, 32, 32)), "ir": rng.random((1, 1, 32, 32))})
+    assert calls == []
+
+
 def test_forward_rejects_missing_or_misshapen_modalities():
     model = FusionModel(ModelConfig(modalities=("vis", "ir"), channels=(1, 1),
                                     num_classes=3, dtype="float32"))

@@ -91,6 +91,13 @@ def test_out_of_range_label_rejected():
         cross_entropy(logits, labels)
 
 
+@pytest.mark.parametrize("shape", [(1, 8, 4), (2, 2, 8), (4, 8), (32,)])
+def test_cross_entropy_refuses_labels_not_shaped_like_the_logits(shape):
+    logits = af.Tensor(np.zeros((1, 3, 4, 8)))      # same size as every shape
+    with pytest.raises(af.ShapeError, match=r"labels must be \[B, H, W\]"):
+        cross_entropy(logits, np.zeros(shape, dtype=np.int64))
+
+
 @pytest.mark.parametrize("seed", range(3))
 def test_cross_entropy_gradient(seed):
     rng = np.random.default_rng(seed)
@@ -181,6 +188,13 @@ def test_ignored_pixels_never_enter_the_matrix():
     a.update(pred, label)
     b.update(flipped, label)
     assert np.array_equal(a.counts, b.counts)
+
+
+@pytest.mark.parametrize("label_shape", [(8, 4), (32,), (2, 2, 8)])
+def test_confusion_refuses_a_label_not_shaped_like_the_prediction(label_shape):
+    pred = np.zeros((4, 8), dtype=np.int64)
+    with pytest.raises(af.ShapeError, match="shapes differ"):
+        ConfusionMatrix(2).update(pred, np.zeros(label_shape, dtype=np.int64))
 
 
 def test_absent_classes_excluded_from_mean():
