@@ -157,14 +157,11 @@ def _resolve_train_configs(args, dataset) -> tuple[ModelConfig, TrainConfig]:
         kv.update((k, v) for k, v in vars(args).items()
                   if v is not None and k in cls.__dataclass_fields__)
 
-    try:
-        names = model_kv.get("modalities", dataset.modality_names)
-        ModelConfig.check_type("modalities", names)
-        model_kv.update(modalities=names, channels=_dataset_channels(dataset, names),
-                        num_classes=dataset.num_classes)
-        return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from None
+    names = model_kv.get("modalities", dataset.modality_names)
+    ModelConfig.check_type("modalities", names)
+    model_kv.update(modalities=names, channels=_dataset_channels(dataset, names),
+                    num_classes=dataset.num_classes)
+    return ModelConfig.from_dict(model_kv), TrainConfig.from_dict(train_kv)
 
 
 def _dataset_channels(dataset, names) -> tuple[int, ...]:
@@ -212,10 +209,7 @@ def cmd_train(args) -> int:
     eval_set = load_dataset(args.eval_data) if args.eval_data else None
     if eval_set is not None:
         _check_dataset(eval_set, model_cfg)
-    try:
-        model = FusionModel(model_cfg)
-    except MemoryError as exc:
-        raise ConfigError(f"model too large to allocate: {exc}") from None
+    model = FusionModel(model_cfg)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -302,7 +296,7 @@ def main(argv=None) -> int:
     except TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return VERIFY_FAIL
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, MemoryError) as exc:   # a size numpy cannot allocate
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

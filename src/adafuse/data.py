@@ -148,13 +148,12 @@ def write_store(directory, kind: str, fields: dict,
     and moved into place after the last. Every blob is named by one of
     the two files at every step, so an interrupted save leaves no
     manifest, never a mix of two saves, and the next save deletes what
-    it left. A legacy ``manifest.json.old`` counts as pending and is
-    deleted; other files are left alone.
+    it left. Other files are left alone.
     """
     out = Path(directory)
     out.mkdir(parents=True, exist_ok=True)
-    final, tmp, legacy = (out / (MANIFEST + ext) for ext in ("", ".tmp", ".old"))
-    pending = _named_blobs(tmp) | _named_blobs(legacy)
+    final, tmp = out / MANIFEST, out / (MANIFEST + ".tmp")
+    pending = _named_blobs(tmp)
     if final.exists():
         _unlink_blobs(out, pending - _named_blobs(final))
         os.replace(final, tmp)
@@ -162,7 +161,6 @@ def write_store(directory, kind: str, fields: dict,
     _unlink_blobs(out, pending - {Path(path) for path, _ in blobs})
     manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
     tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
-    legacy.unlink(missing_ok=True)
     for path, array in blobs:
         (out / path).write_bytes(array.tobytes())
     os.replace(tmp, final)
@@ -171,7 +169,7 @@ def write_store(directory, kind: str, fields: dict,
 
 def _unlink_blobs(root: Path, paths: set[Path]) -> None:
     """Delete the regular files among ``paths``, never a manifest."""
-    for path in paths - {Path(MANIFEST + ext) for ext in ("", ".old", ".tmp")}:
+    for path in paths - {Path(MANIFEST), Path(MANIFEST + ".tmp")}:
         if (root / path).is_file():
             (root / path).unlink()
 
@@ -231,21 +229,23 @@ def manifest_fields(error: type[Exception] = DatasetError) -> Iterator[None]:
         raise error(f"malformed manifest: {type(exc).__name__}: {exc}") from None
 
 
-def read_blob(root: Path, entry: dict, dtype: str,
+def read_blob(root: Path, entry: dict, dtype: str, shape: tuple[int, ...],
               error: type[Exception] = DatasetError) -> np.ndarray:
     """Read the raw blob a manifest ``entry`` (``path``, ``shape``) names.
 
-    The path must be relative and stay inside ``root``, and the file must
-    hold exactly the bytes ``shape`` and ``dtype`` need; any violation
-    raises ``error``.
+    The entry must declare the reader's ``shape``, which is checked before
+    the file is opened; the path must be relative and stay inside
+    ``root``, and the file must hold exactly the bytes ``shape`` and
+    ``dtype`` need. Any violation raises ``error``.
     """
+    if tuple(int(s) for s in entry["shape"]) != shape:
+        raise error(f"record {entry} declares a shape other than {shape}")
     path = entry["path"]
     if not _inside_root(path):
         raise error(f"blob paths must be relative to the manifest dir: {path!r}")
     blob = root / path
     if not blob.exists():
         raise error(f"missing blob {path!r}")
-    shape = tuple(int(s) for s in entry["shape"])
     expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
     actual = blob.stat().st_size
     if actual != expected:
@@ -296,14 +296,12 @@ def load_dataset(directory) -> SceneDataset:
         shapes = {name: (c, height, width) for name, c in modalities}
         samples = []
         for i, rec in enumerate(manifest["samples"]):
-            images = {name: read_blob(root, entry, "<f4")
+            if rec["images"].keys() != shapes.keys():
+                raise DatasetError(f"sample {i} holds images {sorted(rec['images'])}, "
+                                   f"the manifest declares {sorted(shapes)}")
+            images = {name: read_blob(root, entry, "<f4", shapes[name])
                       for name, entry in rec["images"].items()}
-            label = read_blob(root, rec["label"], "<u2")
-            found = {name: img.shape for name, img in images.items()}
-            if found != shapes or label.shape != (height, width):
-                raise DatasetError(
-                    f"sample {i} holds images {found} and a {label.shape} label; "
-                    f"the manifest declares {shapes} and {(height, width)}")
+            label = read_blob(root, rec["label"], "<u2", (height, width))
             bad = (label >= num_classes) & (label != ignore)
             if bad.any():
                 raise DatasetError(f"label {rec['label']['path']!r} holds class ids "

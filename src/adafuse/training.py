@@ -243,7 +243,11 @@ class ConfusionMatrix:
         prediction = prediction.reshape(-1)
         label = label.reshape(-1).astype(np.int64)
         keep = label != self.ignore_index
-        idx = label[keep] * self.num_classes + prediction[keep]
+        label, prediction = label[keep], prediction[keep]
+        for name, ids in (("label", label), ("prediction", prediction)):
+            if ids.size and (ids.min() < 0 or ids.max() >= self.num_classes):
+                raise ValueError(f"{name} holds class ids outside 0..{self.num_classes - 1}")
+        idx = label * self.num_classes + prediction
         self.counts += np.bincount(idx, minlength=self.num_classes ** 2) \
             .reshape(self.num_classes, self.num_classes)
 
@@ -339,11 +343,7 @@ def load_checkpoint(directory) -> FusionModel:
                 raise CheckpointError(f"checkpoint parameter {name!r} has no "
                                       f"counterpart in the model")
             p = lookup.pop(name)
-            shape = tuple(int(s) for s in rec["shape"])
-            if shape != p.shape:
-                raise CheckpointError(f"shape mismatch for {name!r}: checkpoint "
-                                      f"{shape}, model {p.shape}")
-            p.data[...] = read_blob(root, rec, dtype, CheckpointError)
+            p.data[...] = read_blob(root, rec, dtype, p.shape, CheckpointError)
     if lookup:
         raise CheckpointError(f"checkpoint omits {len(lookup)} parameters "
                               f"(first: {next(iter(lookup))!r})")

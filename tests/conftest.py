@@ -1,4 +1,5 @@
 import os
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,17 @@ def fail_writes_after(monkeypatch):
 
             monkeypatch.setattr(owner, name, failing)
     return arm
+
+
+@pytest.fixture
+def blob_reads(monkeypatch):
+    """A ``Counter`` of ``Path.read_bytes`` calls by file name, from the
+    start of the test on."""
+    reads = Counter()
+
+    def counting(path, original=Path.read_bytes):
+        reads[path.name] += 1
+        return original(path)
+
+    monkeypatch.setattr(Path, "read_bytes", counting)
+    return reads

@@ -92,10 +92,12 @@ def test_train_missing_dataset_is_io_error(tmp_path, capsys):
     assert code == 3
 
 
-@pytest.mark.parametrize("edit", [lambda images: images.pop("ir"),
-                                  lambda images: images["ir"].update(shape=[1, 16, 64])],
-                         ids=["missing-modality", "wrong-shape"])
-def test_train_sample_disagreeing_with_manifest_is_io_error(tmp_path, capsys, edit):
+@pytest.mark.parametrize("edit,message", [
+    (lambda images: images.pop("ir"), "sample 3"),
+    (lambda images: images["ir"].update(shape=[1, 16, 64]), "s00003_ir.bin")],
+    ids=["missing-modality", "wrong-shape"])
+def test_train_sample_disagreeing_with_manifest_is_io_error(tmp_path, capsys, edit,
+                                                            message):
     root = save_dataset(generate_synthetic(4, 32, 32, 5, 2, seed=0), tmp_path / "ds")
     manifest = json.loads((root / "manifest.json").read_text())
     edit(manifest["samples"][3]["images"])
@@ -103,7 +105,7 @@ def test_train_sample_disagreeing_with_manifest_is_io_error(tmp_path, capsys, ed
     code = run(["train", "--data", str(root), "--out", str(tmp_path / "run"),
                 "--epochs", "1", "--warmup-epochs", "0", "--batch-size", "4"])
     assert code == 3
-    assert "sample 3" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_eval_truncated_checkpoint_is_io_error(tmp_path, capsys):
@@ -164,7 +166,8 @@ def _widen_blobs(manifest, root):
     (_widen_blobs, "unsupported blob dtype '<f8' for a float32 model"),
     (lambda m, _: m["params"][0].update(name="encoder.sonar.cls_w"),
      "checkpoint parameter 'encoder.sonar.cls_w' has no counterpart in the model"),
-    (lambda m, _: m["params"][0].update(shape=[3, 5, 7]), "checkpoint (3, 5, 7), model"),
+    (lambda m, _: m["params"][0].update(shape=[3, 5, 7]),
+     "'shape': [3, 5, 7]} declares a shape other than ("),
     (lambda m, _: m["params"].pop(), "checkpoint omits 1 parameters (first: 'decoder."),
     (None, "manifest kind 'dataset' is not a checkpoint")],
     ids=["blob-dtype", "blob-dtype-of-another-model", "unknown-name", "shape", "omits",
@@ -447,7 +450,7 @@ def test_train_config_too_large_to_allocate_is_refused_before_anything_is_writte
     code = run(["train", "--data", str(data_dir), "--out", str(out),
                 "--config", str(cfg_file)])
     assert code == 2
-    assert "config error: model too large to allocate" in capsys.readouterr().err
+    assert "config error: Unable to allocate" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -685,6 +688,19 @@ def test_synth_data_with_no_samples_is_a_config_error(tmp_path, capsys, samples)
     out = tmp_path / "ds"
     assert run(["synth-data", "--out", str(out), "--samples", samples]) == 2
     assert "need at least one sample" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# each request is larger than the address space, so it fails at once
+@pytest.mark.parametrize("argv", [
+    ["param-count", "--r", "1000000000000000"],
+    ["synth-data", "--samples", "1", "--height", "100000000", "--width", "100000000"]],
+    ids=["param-count", "synth-data"])
+def test_a_size_numpy_cannot_allocate_is_a_config_error(tmp_path, capsys, argv):
+    out = tmp_path / "ds"
+    extra = ["--out", str(out)] if argv[0] == "synth-data" else []
+    assert run(argv + extra) == 2
+    assert "config error: Unable to allocate" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -220,16 +220,14 @@ def contents(ds):
 
 
 @pytest.mark.parametrize("old,new", [(10, 3), (3, 10)], ids=["shrink", "grow"])
-@pytest.mark.parametrize("prior", ["fresh", "after-an-interrupted-save", "legacy-old"])
+@pytest.mark.parametrize("prior", ["fresh", "after-an-interrupted-save"])
 def test_a_save_cut_at_any_change_leaves_one_whole_save_or_none(tmp_path, fail_writes_after,
                                                                monkeypatch, old, new, prior):
     """For every n, the n-th filesystem change of an ``old`` -> ``new``
     save fails. Before it, ``after-an-interrupted-save`` cuts a 5-scene
-    save at its 11th change and ``legacy-old`` leaves the old manifest
-    moved to ``manifest.json.old``, as older writers did mid-save. The
-    directory then has no manifest or loads as exactly one of the two
-    saves, and a complete save after it leaves only its own blobs, its
-    manifest and a foreign file."""
+    save at its 11th change. The directory then has no manifest or
+    loads as exactly one of the two saves, and a complete save after it
+    leaves only its own blobs, its manifest and a foreign file."""
     datasets = {n: small_ds(seed=n, n=n) for n in (old, new, 5, 1)}
     for n in itertools.count():
         root = save_dataset(datasets[old], tmp_path / f"ds{n}")
@@ -239,8 +237,6 @@ def test_a_save_cut_at_any_change_leaves_one_whole_save_or_none(tmp_path, fail_w
             with pytest.raises(OSError):
                 save_dataset(datasets[5], root)
             monkeypatch.undo()
-        elif prior == "legacy-old":
-            (root / "manifest.json").rename(root / "manifest.json.old")
         fail_writes_after(n, every_mutation=True)
         try:
             save_dataset(datasets[new], root)
@@ -260,21 +256,15 @@ def test_a_save_cut_at_any_change_leaves_one_whole_save_or_none(tmp_path, fail_w
     assert n > 3 * min(old, new)
 
 
-@pytest.mark.parametrize("kept", [0, 3], ids=["old-only", "old-and-manifest"])
-def test_save_deletes_the_blobs_a_legacy_old_manifest_names(tmp_path, kept):
-    """Older writers moved the manifest aside to ``manifest.json.old``
-    during a save and deleted the blobs only it named after the new
-    manifest was in place; a save cut short between leaves those blobs.
-    ``kept``: scenes of a ``manifest.json`` written beside it (0: none)."""
-    root = save_dataset(small_ds(seed=16, n=10), tmp_path / "ds")
-    (root / "manifest.json").rename(root / "manifest.json.old")
-    if kept:
-        manifest = json.loads((root / "manifest.json.old").read_text())
-        manifest["samples"] = manifest["samples"][:kept]
-        (root / "manifest.json").write_text(json.dumps(manifest))
-    save_dataset(small_ds(seed=17, n=3), root)
-    assert len(list(root.iterdir())) == 10
-    assert len(load_dataset(root)) == 3
+def test_a_record_of_another_shape_is_refused_before_its_blob_is_read(tmp_path, blob_reads):
+    root = save_dataset(small_ds(seed=19, n=4), tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    # the same byte count as the 1 x 32 x 32 image the manifest declares
+    manifest["samples"][3]["images"]["ir"]["shape"] = [1, 16, 64]
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(DatasetError, match=r"'s00003_ir.bin', 'shape': \[1, 16, 64\]"):
+        load_dataset(root)
+    assert blob_reads["s00002_ir.bin"] == 1 and blob_reads["s00003_ir.bin"] == 0
 
 
 @pytest.mark.parametrize("ignore", [0, 4])

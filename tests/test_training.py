@@ -197,6 +197,18 @@ def test_confusion_refuses_a_label_not_shaped_like_the_prediction(label_shape):
         ConfusionMatrix(2).update(pred, np.zeros(label_shape, dtype=np.int64))
 
 
+@pytest.mark.parametrize("pred,label,name", [
+    ([3, 3], [0, 1], "prediction"), ([-1], [1], "prediction"),
+    ([0], [3], "label"), ([0], [-1], "label")])
+def test_confusion_refuses_a_class_id_outside_its_classes(pred, label, name):
+    cm = ConfusionMatrix(3)
+    with pytest.raises(ValueError, match=f"{name} holds class ids outside 0..2"):
+        cm.update(np.array(pred), np.array(label))
+    assert not cm.counts.any()
+    cm.update(np.array([7]), np.array([255]))      # an ignored pixel is never checked
+    assert not cm.counts.any()
+
+
 def test_absent_classes_excluded_from_mean():
     cm = ConfusionMatrix(4)
     cm.update(np.array([0, 1, 1]), np.array([0, 1, 0]))
@@ -631,6 +643,18 @@ def test_smaller_save_over_a_checkpoint_removes_stale_blobs(tmp_path):
     assert len(named) + 1 < fused_files
     assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
     assert load_checkpoint(root).config.modalities == ("vis",)
+
+
+def test_a_checkpoint_record_of_another_shape_is_refused_before_its_blob_is_read(
+        tmp_path, blob_reads):
+    root = save_checkpoint(tiny_model(seed=18), tmp_path / "ckpt")
+    manifest = json.loads((root / "manifest.json").read_text())
+    rec = next(r for r in reversed(manifest["params"]) if len(r["shape"]) > 1)
+    rec["shape"] = [math.prod(rec["shape"])]          # the same byte count, flattened
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(CheckpointError, match=f"'name': '{rec['name']}'"):
+        load_checkpoint(root)
+    assert blob_reads[manifest["params"][0]["path"]] == 1 and blob_reads[rec["path"]] == 0
 
 
 def test_checkpoint_blob_outside_its_directory_rejected(tmp_path):
