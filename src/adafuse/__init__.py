@@ -14,13 +14,12 @@ from .heads import Decoder, FeatureFusion, modal_merge
 from .model import FusionModel, ModelConfig
 from .budget import (adapter_param_count, analytic_count, budget_report,
                      empirical_count)
-from .data import (IGNORE_INDEX, DatasetError, MultimodalSample, SceneDataset,
+from .data import (IGNORE_INDEX, MultimodalSample, SceneDataset, StoreError,
                    batch_iter, generate_synthetic, load_dataset, save_dataset,
                    stack_batch)
-from .training import (AdamW, CheckpointError, ConfusionMatrix, TrainConfig,
-                       TrainingError, cross_entropy, evaluate, fit,
-                       format_metrics, load_checkpoint, lr_at,
-                       save_checkpoint, train_step)
+from .training import (AdamW, ConfusionMatrix, TrainConfig, TrainingError,
+                       cross_entropy, evaluate, fit, format_metrics,
+                       load_checkpoint, lr_at, save_checkpoint, train_step)
 from .verification import check_density_equivalence
 
 __version__ = "0.1.0"

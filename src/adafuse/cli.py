@@ -15,18 +15,14 @@ from pathlib import Path
 
 from .adapters import DENSITIES
 from .budget import budget_report
-from .data import DatasetError, generate_synthetic, load_dataset, save_dataset
+from .data import generate_synthetic, load_dataset, save_dataset
 from .encoder import PRESETS
 from .model import DTYPES, FusionModel, ModelConfig
-from .training import (CheckpointError, TrainConfig, TrainingError, evaluate,
-                       fit, format_metrics, load_checkpoint, save_checkpoint)
+from .training import (TrainConfig, TrainingError, evaluate, fit, format_metrics,
+                       load_checkpoint, save_checkpoint)
 from .verification import equivalence_suite, gradient_suite
 
 OK, VERIFY_FAIL, CONFIG_ERROR, IO_ERROR = 0, 1, 2, 3
-
-
-class ConfigError(ValueError):
-    pass
 
 
 # argparse types (their names appear in usage errors) for comma-separated
@@ -44,19 +40,19 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     p = Path(path)
     if not p.exists():
-        raise ConfigError(f"config file {path!r} does not exist")
+        raise ValueError(f"config file {path!r} does not exist")
     try:
         data = json.loads(p.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:   # JSON syntax, UTF-8 or nesting depth
-        raise ConfigError(f"unreadable config file {path!r}: {exc}") from None
+        raise ValueError(f"unreadable config file {path!r}: {exc}") from None
     if not isinstance(data, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     unknown = set(data) - {"model", "train"}
     if unknown:
-        raise ConfigError(f"unknown config sections: {sorted(unknown)}")
+        raise ValueError(f"unknown config sections: {sorted(unknown)}")
     for name, section in data.items():
         if not isinstance(section, dict):
-            raise ConfigError(f"config section {name!r} must be a JSON object")
+            raise ValueError(f"config section {name!r} must be a JSON object")
     return data
 
 
@@ -170,8 +166,8 @@ def _dataset_channels(dataset, names) -> tuple[int, ...]:
     channel_of = dict(dataset.modalities)
     missing = [n for n in names if n not in channel_of]
     if missing:
-        raise ConfigError(f"modalities {missing} not present in the dataset "
-                          f"(has {dataset.modality_names})")
+        raise ValueError(f"modalities {missing} not present in the dataset "
+                         f"(has {dataset.modality_names})")
     return tuple(channel_of[n] for n in names)
 
 
@@ -179,20 +175,20 @@ def _check_dataset(dataset, config: ModelConfig) -> None:
     """Refuse a dataset with no sample or no labeled pixel, one that lacks a
     model modality, or one whose channels, classes or image size it cannot take."""
     if len(dataset) == 0:
-        raise ConfigError("dataset holds no samples")
+        raise ValueError("dataset holds no samples")
     if all((s.label == dataset.ignore_index).all() for s in dataset.samples):
-        raise ConfigError(f"dataset holds no labeled pixel, only {dataset.ignore_index}")
+        raise ValueError(f"dataset holds no labeled pixel, only {dataset.ignore_index}")
     channels = _dataset_channels(dataset, config.modalities)
     if channels != config.channels:
-        raise ConfigError(f"dataset channels {dict(zip(config.modalities, channels))}, "
-                          f"the model takes {dict(zip(config.modalities, config.channels))}")
+        raise ValueError(f"dataset channels {dict(zip(config.modalities, channels))}, "
+                         f"the model takes {dict(zip(config.modalities, config.channels))}")
     if dataset.num_classes != config.num_classes:
-        raise ConfigError(f"dataset has {dataset.num_classes} classes, the model "
-                          f"predicts {config.num_classes}")
+        raise ValueError(f"dataset has {dataset.num_classes} classes, the model "
+                         f"predicts {config.num_classes}")
     multiple = config.encoder_config().size_multiple
     if dataset.height % multiple or dataset.width % multiple:
-        raise ConfigError(f"dataset images are {dataset.height}x{dataset.width}, not "
-                          f"multiples of {multiple} as the {config.preset} encoder needs")
+        raise ValueError(f"dataset images are {dataset.height}x{dataset.width}, not "
+                         f"multiples of {multiple} as the {config.preset} encoder needs")
 
 
 def _write_metrics(out: Path, metrics: dict) -> None:
@@ -290,13 +286,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DatasetError, CheckpointError, OSError) as exc:
+    except OSError as exc:        # StoreError is one
         print(f"i/o error: {exc}", file=sys.stderr)
         return IO_ERROR
     except TrainingError as exc:
         print(f"training aborted: {exc}", file=sys.stderr)
         return VERIFY_FAIL
-    except (ConfigError, ValueError, MemoryError) as exc:   # a size numpy cannot allocate
+    except (ValueError, MemoryError) as exc:   # a size numpy cannot allocate
         print(f"config error: {exc}", file=sys.stderr)
         return CONFIG_ERROR
 

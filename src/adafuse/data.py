@@ -10,13 +10,15 @@ Disk layout: a directory with ``manifest.json`` plus one raw blob per
 image (little-endian float32, row-major C x H x W) and per label map
 (little-endian uint16, H x W). Blob paths in the manifest are relative
 to the directory. Checkpoints use the same manifest+blob store
-(``write_store``, ``read_manifest``, ``read_blob``).
+(``write_store``, ``read_manifest``, ``read_blob``), and a directory
+that does not hold a valid one of either raises ``StoreError``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,8 +31,8 @@ IGNORE_INDEX = 255
 MANIFEST = "manifest.json"
 
 
-class DatasetError(ValueError):
-    """Malformed dataset directory or manifest."""
+class StoreError(OSError):
+    """The directory does not hold a valid dataset or checkpoint."""
 
 
 @dataclass
@@ -194,63 +196,59 @@ def _inside_root(path: str) -> bool:
     return not Path(path).is_absolute() and ".." not in Path(path).parts
 
 
-def read_manifest(directory, kind: str,
-                  error: type[Exception] = DatasetError) -> dict:
+def read_manifest(directory, kind: str) -> dict:
     """The manifest of a ``write_store`` directory, checked for
     existence, JSON syntax, format version and ``kind``; any violation
-    raises ``error``."""
+    raises ``StoreError``."""
     mpath = Path(directory) / MANIFEST
     if not mpath.exists():
-        raise error(f"no {MANIFEST} under {directory}")
+        raise StoreError(f"no {MANIFEST} under {directory}")
     try:
         manifest = json.loads(mpath.read_text(encoding="utf-8"))
     except (ValueError, RecursionError) as exc:    # JSON syntax, UTF-8 or nesting depth
-        raise error(f"unreadable {mpath}: {exc}") from None
+        raise StoreError(f"unreadable {mpath}: {exc}") from None
     if not isinstance(manifest, dict):
-        raise error(f"{mpath} does not hold a JSON object")
+        raise StoreError(f"{mpath} does not hold a JSON object")
     if manifest.get("version") != FORMAT_VERSION:
-        raise error(f"unsupported manifest version {manifest.get('version')!r}, "
-                    f"this reader handles {FORMAT_VERSION}")
+        raise StoreError(f"unsupported manifest version {manifest.get('version')!r}, "
+                         f"this reader handles {FORMAT_VERSION}")
     if manifest.get("kind") != kind:
-        raise error(f"manifest kind {manifest.get('kind')!r} is not a {kind}")
+        raise StoreError(f"manifest kind {manifest.get('kind')!r} is not a {kind}")
     return manifest
 
 
 @contextlib.contextmanager
-def manifest_fields(error: type[Exception] = DatasetError) -> Iterator[None]:
-    """Raise ``error`` for a missing or ill-typed manifest field read
-    inside the block, or for one too large to allocate."""
+def manifest_fields() -> Iterator[None]:
+    """Raise ``StoreError`` for a missing or ill-typed manifest field
+    read inside the block, or for one too large to allocate."""
     try:
         yield
-    except error:
-        raise
     except (KeyError, IndexError, TypeError, ValueError, AttributeError,
             OverflowError, MemoryError) as exc:
-        raise error(f"malformed manifest: {type(exc).__name__}: {exc}") from None
+        raise StoreError(f"malformed manifest: {type(exc).__name__}: {exc}") from None
 
 
-def read_blob(root: Path, entry: dict, dtype: str, shape: tuple[int, ...],
-              error: type[Exception] = DatasetError) -> np.ndarray:
+def read_blob(root: Path, entry: dict, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
     """Read the raw blob a manifest ``entry`` (``path``, ``shape``) names.
 
     The entry must declare the reader's ``shape``, which is checked before
     the file is opened; the path must be relative and stay inside
     ``root``, and the file must hold exactly the bytes ``shape`` and
-    ``dtype`` need. Any violation raises ``error``.
+    ``dtype`` need. Any violation raises ``StoreError``.
     """
     if tuple(int(s) for s in entry["shape"]) != shape:
-        raise error(f"record {entry} declares a shape other than {shape}")
+        raise StoreError(f"record {entry} declares a shape other than {shape}")
     path = entry["path"]
     if not _inside_root(path):
-        raise error(f"blob paths must be relative to the manifest dir: {path!r}")
+        raise StoreError(f"blob paths must be relative to the manifest dir: {path!r}")
     blob = root / path
     if not blob.exists():
-        raise error(f"missing blob {path!r}")
-    expected = int(np.prod(shape)) * np.dtype(dtype).itemsize
+        raise StoreError(f"missing blob {path!r}")
+    expected = math.prod(shape) * np.dtype(dtype).itemsize
     actual = blob.stat().st_size
     if actual != expected:
-        raise error(f"blob {path!r} holds {actual} bytes, "
-                    f"expected {expected} for shape {shape}")
+        raise StoreError(f"blob {path!r} holds {actual} bytes, "
+                         f"expected {expected} for shape {shape}")
     return np.frombuffer(blob.read_bytes(), dtype=dtype).reshape(shape).copy()
 
 
@@ -280,32 +278,38 @@ def save_dataset(dataset: SceneDataset, directory) -> Path:
 
 
 def load_dataset(directory) -> SceneDataset:
-    """Read a ``save_dataset`` directory. Every sample must hold exactly
-    the manifest's modalities, each image [channels, height, width], and
-    an [height, width] label; any mismatch raises ``DatasetError``."""
+    """Read a ``save_dataset`` directory. The manifest's modality names
+    must be unique and its sizes >= 1; every sample must hold exactly
+    its modalities, each image [channels, height, width], and an
+    [height, width] label. Any mismatch raises ``StoreError``."""
     root = Path(directory)
     manifest = read_manifest(root, "dataset")
     with manifest_fields():
         num_classes = int(manifest["num_classes"])
         ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
         if ignore < num_classes:
-            raise DatasetError(f"ignore_index {ignore} is a class id of the "
-                               f"{num_classes} classes")
+            raise StoreError(f"ignore_index {ignore} is a class id of the "
+                             f"{num_classes} classes")
         height, width = int(manifest["height"]), int(manifest["width"])
         modalities = [(m["name"], int(m["channels"])) for m in manifest["modalities"]]
         shapes = {name: (c, height, width) for name, c in modalities}
+        if len(shapes) != len(modalities):
+            raise StoreError(f"modality names repeat in {[n for n, _ in modalities]}")
+        if min(height, width, *(c for _, c in modalities)) < 1:
+            raise StoreError(f"height {height}, width {width} and channels "
+                             f"{dict(modalities)} must all be >= 1")
         samples = []
         for i, rec in enumerate(manifest["samples"]):
             if rec["images"].keys() != shapes.keys():
-                raise DatasetError(f"sample {i} holds images {sorted(rec['images'])}, "
-                                   f"the manifest declares {sorted(shapes)}")
+                raise StoreError(f"sample {i} holds images {sorted(rec['images'])}, "
+                                 f"the manifest declares {sorted(shapes)}")
             images = {name: read_blob(root, entry, "<f4", shapes[name])
                       for name, entry in rec["images"].items()}
             label = read_blob(root, rec["label"], "<u2", (height, width))
             bad = (label >= num_classes) & (label != ignore)
             if bad.any():
-                raise DatasetError(f"label {rec['label']['path']!r} holds class ids "
-                                   f">= {num_classes}")
+                raise StoreError(f"label {rec['label']['path']!r} holds class ids "
+                                 f">= {num_classes}")
             samples.append(MultimodalSample(images, label))
         visibility = {int(k): tuple(v)
                       for k, v in manifest.get("class_visibility", {}).items()}

@@ -10,18 +10,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .data import (IGNORE_INDEX, SceneDataset, batch_iter, manifest_fields, read_blob,
-                   read_manifest, stack_batch, write_store)
+from .data import (IGNORE_INDEX, SceneDataset, StoreError, batch_iter, manifest_fields,
+                   read_blob, read_manifest, stack_batch, write_store)
 from .model import ConfigCodec, FusionModel, ModelConfig
 from .tensor import (Tensor, ShapeError, active_tape, backward, log_softmax, mul, no_grad,
                      reshape, transpose, tsum)
 
 
 class TrainingError(RuntimeError):
-    pass
-
-
-class CheckpointError(ValueError):
     pass
 
 
@@ -327,24 +323,25 @@ def save_checkpoint(model: FusionModel, directory) -> Path:
 
 def load_checkpoint(directory) -> FusionModel:
     """Rebuild the model from a checkpoint directory, whose records must
-    name each of its parameters once, with its shape."""
-    manifest = read_manifest(directory, "checkpoint", CheckpointError)
+    name each of its parameters once, with its shape; any violation
+    raises ``StoreError``."""
+    manifest = read_manifest(directory, "checkpoint")
     root = Path(directory)
-    with manifest_fields(CheckpointError):
+    with manifest_fields():
         model = FusionModel(ModelConfig.from_dict(manifest["model_config"]))
         lookup = dict(model.named_parameters())
         dtype = manifest["blob_dtype"]
         if dtype != model.config.np_dtype().str:
-            raise CheckpointError(f"unsupported blob dtype {dtype!r} for a "
-                                  f"{model.config.dtype} model")
+            raise StoreError(f"unsupported blob dtype {dtype!r} for a "
+                             f"{model.config.dtype} model")
         for rec in manifest["params"]:
             name = rec["name"]
             if name not in lookup:
-                raise CheckpointError(f"checkpoint parameter {name!r} has no "
-                                      f"counterpart in the model")
+                raise StoreError(f"checkpoint parameter {name!r} has no "
+                                 f"counterpart in the model")
             p = lookup.pop(name)
-            p.data[...] = read_blob(root, rec, dtype, p.shape, CheckpointError)
+            p.data[...] = read_blob(root, rec, dtype, p.shape)
     if lookup:
-        raise CheckpointError(f"checkpoint omits {len(lookup)} parameters "
-                              f"(first: {next(iter(lookup))!r})")
+        raise StoreError(f"checkpoint omits {len(lookup)} parameters "
+                         f"(first: {next(iter(lookup))!r})")
     return model

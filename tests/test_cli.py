@@ -6,10 +6,11 @@ import math
 import numpy as np
 import pytest
 
-from adafuse import training, verification
+from adafuse import cli, training, verification
 from adafuse.cli import _resolve_train_configs, build_parser, main
-from adafuse.data import generate_synthetic, load_dataset, save_dataset
+from adafuse.data import StoreError, generate_synthetic, load_dataset, save_dataset
 from adafuse.model import FusionModel, ModelConfig
+from adafuse.tensor import ShapeError
 from adafuse.training import TrainingError, save_checkpoint
 
 
@@ -106,6 +107,52 @@ def test_train_sample_disagreeing_with_manifest_is_io_error(tmp_path, capsys, ed
                 "--epochs", "1", "--warmup-epochs", "0", "--batch-size", "4"])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def dataset_declaring(path, modalities=(("vis", 1), ("ir", 1)), height=32, width=32):
+    """A saved dataset whose manifest declares ``modalities``, ``height``
+    and ``width``, each blob of the shape its record declares."""
+    ds = generate_synthetic(2, 32, 32, 5, 2, seed=0)
+    ds.modalities, ds.height, ds.width = list(modalities), height, width
+    for sample in ds.samples:
+        sample.images = {n: np.zeros((c, height, width), np.float32) for n, c in modalities}
+        sample.label = np.zeros((height, width), np.uint16)
+    return save_dataset(ds, path)
+
+
+@pytest.mark.parametrize("declared,message", [
+    ({"modalities": (("vis", 1), ("ir", 1), ("vis", 1))}, "modality names repeat"),
+    ({"modalities": (("vis", 0), ("ir", 1))}, "must all be >= 1"),
+    ({"height": 0}, "must all be >= 1"),
+    ({"width": 0}, "must all be >= 1")],
+    ids=["repeated-name", "channels-0", "height-0", "width-0"])
+def test_train_on_a_manifest_that_cannot_describe_a_store_is_io_error(tmp_path, capsys,
+                                                                       declared, message):
+    data_dir = dataset_declaring(tmp_path / "ds", **declared)
+    out = tmp_path / "run"
+    assert run(["train", "--data", str(data_dir), "--out", str(out), "--epochs", "1",
+                "--warmup-epochs", "0", "--batch-size", "2"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("exc,code,prefix", [
+    (StoreError("no manifest.json under ds"), 3, "i/o error:"),
+    (OSError(28, "No space left on device"), 3, "i/o error:"),
+    (TrainingError("non-finite loss nan"), 1, "training aborted:"),
+    (ValueError("bottleneck must be >= 1"), 2, "config error:"),
+    (ShapeError("labels must be [B, H, W]"), 2, "config error:"),
+    (MemoryError("Unable to allocate"), 2, "config error:")],
+    ids=["StoreError", "OSError", "TrainingError", "ValueError", "ShapeError",
+         "MemoryError"])
+def test_main_maps_each_exception_base_to_one_exit_code(capsys, monkeypatch, exc, code,
+                                                        prefix):
+    def failing(args):
+        raise exc
+    monkeypatch.setattr(cli, "cmd_equiv_check", failing)
+    assert run(["equiv-check"]) == code
+    assert capsys.readouterr().err == f"{prefix} {exc}\n"
 
 
 def test_eval_truncated_checkpoint_is_io_error(tmp_path, capsys):

@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from adafuse.data import (IGNORE_INDEX, DatasetError, batch_iter, generate_synthetic,
+from adafuse.data import (IGNORE_INDEX, StoreError, batch_iter, generate_synthetic,
                           load_dataset, save_dataset, stack_batch)
 
 
@@ -121,14 +121,14 @@ def test_truncated_blob_fails_with_byte_count_error(tmp_path):
     root = save_dataset(small_ds(seed=9, n=2), tmp_path / "ds")
     blob = next(root.glob("s00000_*.bin"))
     blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(DatasetError, match="bytes"):
+    with pytest.raises(StoreError, match="bytes"):
         load_dataset(root)
 
 
 def test_missing_blob_fails(tmp_path):
     root = save_dataset(small_ds(seed=10, n=2), tmp_path / "ds")
     next(root.glob("s00001_*.bin")).unlink()
-    with pytest.raises(DatasetError, match="missing"):
+    with pytest.raises(StoreError, match="missing"):
         load_dataset(root)
 
 
@@ -138,7 +138,7 @@ def test_absolute_blob_paths_rejected(tmp_path):
     rec = manifest["samples"][0]["label"]
     rec["path"] = str((root / rec["path"]).resolve())
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError, match="relative"):
+    with pytest.raises(StoreError, match="relative"):
         load_dataset(root)
 
 
@@ -147,8 +147,24 @@ def test_unknown_version_rejected(tmp_path):
     manifest = json.loads((root / "manifest.json").read_text())
     manifest["version"] = 99
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError, match="version"):
+    with pytest.raises(StoreError, match="version"):
         load_dataset(root)
+
+
+def test_a_size_beyond_int64_fails_the_byte_count_check_before_any_read(tmp_path,
+                                                                        blob_reads):
+    root = save_dataset(small_ds(seed=12, n=1), tmp_path / "ds")
+    manifest = json.loads((root / "manifest.json").read_text())
+    side = 2 ** 32         # 1 x 2**32 x 2**32 float32 is 0 bytes modulo 2**64
+    manifest["height"] = manifest["width"] = side
+    for rec in manifest["samples"]:
+        for entry in rec["images"].values():
+            entry["shape"] = [1, side, side]
+            (root / entry["path"]).write_bytes(b"")
+    (root / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(StoreError, match=f"holds 0 bytes, expected {4 * side * side}"):
+        load_dataset(root)
+    assert not blob_reads
 
 
 def test_interrupted_save_leaves_no_manifest(tmp_path, fail_writes_after):
@@ -156,7 +172,7 @@ def test_interrupted_save_leaves_no_manifest(tmp_path, fail_writes_after):
     fail_writes_after(2)
     with pytest.raises(OSError):
         save_dataset(small_ds(seed=15, n=3), root)
-    with pytest.raises(DatasetError, match="no manifest.json"):
+    with pytest.raises(StoreError, match="no manifest.json"):
         load_dataset(root)
 
 
@@ -262,7 +278,7 @@ def test_a_record_of_another_shape_is_refused_before_its_blob_is_read(tmp_path, 
     # the same byte count as the 1 x 32 x 32 image the manifest declares
     manifest["samples"][3]["images"]["ir"]["shape"] = [1, 16, 64]
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError, match=r"'s00003_ir.bin', 'shape': \[1, 16, 64\]"):
+    with pytest.raises(StoreError, match=r"'s00003_ir.bin', 'shape': \[1, 16, 64\]"):
         load_dataset(root)
     assert blob_reads["s00002_ir.bin"] == 1 and blob_reads["s00003_ir.bin"] == 0
 
@@ -273,7 +289,7 @@ def test_an_ignore_index_that_is_a_class_id_is_rejected(tmp_path, ignore):
     manifest = json.loads((root / "manifest.json").read_text())
     manifest["ignore_index"] = ignore
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(DatasetError, match=f"ignore_index {ignore} is a class id"):
+    with pytest.raises(StoreError, match=f"ignore_index {ignore} is a class id"):
         load_dataset(root)
     manifest["ignore_index"] = 5       # the first id past the 5 classes
     (root / "manifest.json").write_text(json.dumps(manifest))
@@ -284,7 +300,7 @@ def test_out_of_range_labels_rejected(tmp_path):
     ds = small_ds(seed=13, n=1)
     ds.samples[0].label[0, 0] = 200    # not a class, not ignore
     root = save_dataset(ds, tmp_path / "ds")
-    with pytest.raises(DatasetError, match="class ids"):
+    with pytest.raises(StoreError, match="class ids"):
         load_dataset(root)
 
 

@@ -14,10 +14,11 @@ import pytest
 
 import adafuse as af
 from adafuse import training
-from adafuse.data import SceneDataset, batch_iter, generate_synthetic, stack_batch
+from adafuse.data import (SceneDataset, StoreError, batch_iter, generate_synthetic,
+                          stack_batch)
 from adafuse.encoder import Encoder, PatchEmbed, TransformerBlock
 from adafuse.gradcheck import grad_check_params
-from adafuse.training import (AdamW, CheckpointError, ConfusionMatrix,
+from adafuse.training import (AdamW, ConfusionMatrix,
                               TrainConfig, TrainingError, cross_entropy,
                               evaluate, fit, format_metrics, load_checkpoint,
                               lr_at, save_checkpoint, train_step)
@@ -614,7 +615,7 @@ def test_checkpoint_missing_blob_fails(tmp_path):
     model = tiny_model(seed=11)
     root = save_checkpoint(model, tmp_path / "ckpt")
     next(root.glob("p000*.bin")).unlink()
-    with pytest.raises(CheckpointError, match="missing blob"):
+    with pytest.raises(StoreError, match="missing blob"):
         load_checkpoint(root)
 
 
@@ -622,7 +623,7 @@ def test_truncated_checkpoint_blob_fails(tmp_path):
     root = save_checkpoint(tiny_model(seed=12), tmp_path / "ckpt")
     blob = root / "p00000.bin"
     blob.write_bytes(blob.read_bytes()[:-4])
-    with pytest.raises(CheckpointError, match="bytes"):
+    with pytest.raises(StoreError, match="bytes"):
         load_checkpoint(root)
 
 
@@ -631,7 +632,7 @@ def test_interrupted_checkpoint_save_leaves_no_manifest(tmp_path, fail_writes_af
     fail_writes_after(64)
     with pytest.raises(OSError):
         save_checkpoint(tiny_model(seed=15), root)
-    with pytest.raises(CheckpointError, match="no manifest.json"):
+    with pytest.raises(StoreError, match="no manifest.json"):
         load_checkpoint(root)
 
 
@@ -652,7 +653,7 @@ def test_a_checkpoint_record_of_another_shape_is_refused_before_its_blob_is_read
     rec = next(r for r in reversed(manifest["params"]) if len(r["shape"]) > 1)
     rec["shape"] = [math.prod(rec["shape"])]          # the same byte count, flattened
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match=f"'name': '{rec['name']}'"):
+    with pytest.raises(StoreError, match=f"'name': '{rec['name']}'"):
         load_checkpoint(root)
     assert blob_reads[manifest["params"][0]["path"]] == 1 and blob_reads[rec["path"]] == 0
 
@@ -663,5 +664,5 @@ def test_checkpoint_blob_outside_its_directory_rejected(tmp_path):
     manifest = json.loads((root / "manifest.json").read_text())
     manifest["params"][0]["path"] = "../p00000.bin"
     (root / "manifest.json").write_text(json.dumps(manifest))
-    with pytest.raises(CheckpointError, match="relative"):
+    with pytest.raises(StoreError, match="relative"):
         load_checkpoint(root)
