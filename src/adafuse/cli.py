@@ -16,7 +16,7 @@ from pathlib import Path
 from .adapters import DENSITIES
 from .budget import budget_report
 from .data import generate_synthetic, load_dataset, save_dataset
-from .encoder import PRESETS
+from .encoder import PRESETS, EncoderConfig
 from .model import DTYPES, FusionModel, ModelConfig
 from .training import (TrainConfig, TrainingError, evaluate, fit, format_metrics,
                        load_checkpoint, save_checkpoint)
@@ -185,7 +185,7 @@ def _check_dataset(dataset, config: ModelConfig) -> None:
     if dataset.num_classes != config.num_classes:
         raise ValueError(f"dataset has {dataset.num_classes} classes, the model "
                          f"predicts {config.num_classes}")
-    multiple = config.encoder_config().size_multiple
+    multiple = EncoderConfig.preset(config.preset).size_multiple
     if dataset.height % multiple or dataset.width % multiple:
         raise ValueError(f"dataset images are {dataset.height}x{dataset.width}, not "
                          f"multiples of {multiple} as the {config.preset} encoder needs")

@@ -56,9 +56,6 @@ class SceneDataset:
     def __len__(self) -> int:
         return len(self.samples)
 
-    def __getitem__(self, i: int) -> MultimodalSample:
-        return self.samples[i]
-
     @property
     def modality_names(self) -> list[str]:
         return [name for name, _ in self.modalities]
@@ -278,10 +275,10 @@ def save_dataset(dataset: SceneDataset, directory) -> Path:
 
 
 def load_dataset(directory) -> SceneDataset:
-    """Read a ``save_dataset`` directory. The manifest's modality names
-    must be unique and its sizes >= 1; every sample must hold exactly
-    its modalities, each image [channels, height, width], and an
-    [height, width] label. Any mismatch raises ``StoreError``."""
+    """Read a ``save_dataset`` directory. The manifest must declare one or
+    more modalities, with unique names, and sizes >= 1; every sample must
+    hold exactly its modalities, each image [channels, height, width],
+    and an [height, width] label. Any mismatch raises ``StoreError``."""
     root = Path(directory)
     manifest = read_manifest(root, "dataset")
     with manifest_fields():
@@ -293,6 +290,8 @@ def load_dataset(directory) -> SceneDataset:
         height, width = int(manifest["height"]), int(manifest["width"])
         modalities = [(m["name"], int(m["channels"])) for m in manifest["modalities"]]
         shapes = {name: (c, height, width) for name, c in modalities}
+        if not modalities:
+            raise StoreError("the manifest declares no modality")
         if len(shapes) != len(modalities):
             raise StoreError(f"modality names repeat in {[n for n, _ in modalities]}")
         if min(height, width, *(c for _, c in modalities)) < 1:

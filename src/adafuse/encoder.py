@@ -26,8 +26,6 @@ class EncoderConfig:
     heads: tuple[int, ...] = (1, 2, 4, 8)
     strides: tuple[int, ...] = (4, 2, 2, 2)
     sr_ratios: tuple[int, ...] = (2, 2, 1, 1)
-    mlp_ratio: int = 4
-    drop_path_rate: float = 0.0
 
     def __post_init__(self):
         n = len(self.dims)
@@ -61,6 +59,7 @@ class EncoderConfig:
 PRESETS = {"tiny": EncoderConfig(),
            "b2-like": EncoderConfig(dims=(64, 128, 320, 512), depths=(3, 4, 6, 3),
                                     heads=(1, 2, 5, 8), sr_ratios=(8, 4, 2, 1))}
+MLP_RATIO = 4       # MLP hidden width per stage width, in every preset
 
 
 def tokens_to_map(x: Tensor, h: int, w: int) -> Tensor:
@@ -178,16 +177,17 @@ class EncoderStage(Module):
 
 
 class Encoder(Module):
-    """Stack of patch-embed + transformer-block stages for one modality."""
+    """Stack of patch-embed + transformer-block stages for one modality;
+    block drop-path rates rise linearly from 0 to ``drop_path_rate``."""
 
     numbered = {"stages": ("stage", 1)}
 
     def __init__(self, config: EncoderConfig, in_channels: int,
-                 seed: int | tuple[int, ...], dtype=np.float64):
+                 seed: int | tuple[int, ...], dtype=np.float64, drop_path_rate: float = 0.0):
         self.config = config
         path = (seed,) if isinstance(seed, int) else tuple(seed)
         depth = sum(config.depths)
-        rates = [config.drop_path_rate * i / max(depth - 1, 1) for i in range(depth)]
+        rates = [drop_path_rate * i / max(depth - 1, 1) for i in range(depth)]
         channels = (in_channels,) + config.dims
         self.stages: list[EncoderStage] = []
         for s, dim in enumerate(config.dims):
@@ -196,7 +196,7 @@ class Encoder(Module):
                 patch=PatchEmbed(channels[s], dim, config.strides[s],
                                  derive_rng(*path, s), dtype),
                 blocks=[TransformerBlock(dim, config.heads[s], config.sr_ratios[s],
-                                         config.mlp_ratio, rates[first + b],
+                                         MLP_RATIO, rates[first + b],
                                          derive_rng(*path, s, b), dtype)
                         for b in range(config.depths[s])],
                 norm_gamma=ones(dim, dtype=dtype), norm_beta=zeros(dim, dtype=dtype)))

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import sys
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -116,9 +116,6 @@ class ModelConfig(ConfigCodec):
     def num_modalities(self) -> int:
         return len(self.modalities)
 
-    def encoder_config(self) -> EncoderConfig:
-        return replace(EncoderConfig.preset(self.preset), drop_path_rate=self.drop_path_rate)
-
     def np_dtype(self):
         return DTYPES[self.dtype]
 
@@ -134,10 +131,10 @@ class FusionModel(Module):
     def __init__(self, config: ModelConfig):
         self.config = config
         dtype = config.np_dtype()
-        enc_cfg = config.encoder_config()
-        self.encoder_config = enc_cfg
+        enc_cfg = EncoderConfig.preset(config.preset)
         self.encoders = [
-            Encoder(enc_cfg, ch, seed=(config.seed, 10 + i), dtype=dtype)
+            Encoder(enc_cfg, ch, seed=(config.seed, 10 + i), dtype=dtype,
+                    drop_path_rate=config.drop_path_rate)
             for i, ch in enumerate(config.channels)
         ]
         for enc in self.encoders:
@@ -183,10 +180,9 @@ class FusionModel(Module):
         input: none with drop-path or with a trainable parameter in those
         stages, all of them without an adapter bank, else the stages
         before the first fused one."""
-        enc_cfg = self.encoder_config
-        if enc_cfg.drop_path_rate > 0:
+        if self.config.drop_path_rate > 0:
             return 0
-        n = enc_cfg.num_stages if self.bank is None else min(self.config.active_stages) - 1
+        n = self.encoders[0].config.num_stages if self.bank is None else self.bank.stages[0] - 1
         if any(p.requires_grad for enc in self.encoders
                for stage in enc.stages[:n] for p in stage.parameters()):
             return 0
@@ -207,10 +203,9 @@ class FusionModel(Module):
         """Class logits on the finest feature grid [B, K, H/s1, W/s1]."""
         pyramids = self.encode(images, train)
         merged = []
-        for s in range(self.encoder_config.num_stages):
-            feats = [pyramids[m][s] for m in range(self.config.num_modalities)]
+        for s, feats in enumerate(zip(*pyramids)):
             ffm_stage = self.ffm.stages[s] if self.ffm is not None else None
-            merged.append(modal_merge(feats, ffm_stage))
+            merged.append(modal_merge(list(feats), ffm_stage))
         return self.decoder(merged)
 
     def logits_at(self, images: dict, out_h: int, out_w: int, train: bool = False) -> Tensor:

@@ -124,8 +124,9 @@ def dataset_declaring(path, modalities=(("vis", 1), ("ir", 1)), height=32, width
     ({"modalities": (("vis", 1), ("ir", 1), ("vis", 1))}, "modality names repeat"),
     ({"modalities": (("vis", 0), ("ir", 1))}, "must all be >= 1"),
     ({"height": 0}, "must all be >= 1"),
-    ({"width": 0}, "must all be >= 1")],
-    ids=["repeated-name", "channels-0", "height-0", "width-0"])
+    ({"width": 0}, "must all be >= 1"),
+    ({"modalities": ()}, "the manifest declares no modality")],
+    ids=["repeated-name", "channels-0", "height-0", "width-0", "no-modality"])
 def test_train_on_a_manifest_that_cannot_describe_a_store_is_io_error(tmp_path, capsys,
                                                                        declared, message):
     data_dir = dataset_declaring(tmp_path / "ds", **declared)

@@ -209,8 +209,8 @@ def reference_encode(enc, x, *, rng=None):
 def test_fused_encode_without_bank_matches_reference_loop(dtype, train):
     """One encoder and no bank: ``fused_encode`` gives the reference
     loop's bytes, drop-path masks drawn in the same order included."""
-    cfg = EncoderConfig(drop_path_rate=0.3)
-    enc = Encoder(cfg, in_channels=1, seed=9, dtype=dtype)
+    cfg = EncoderConfig()
+    enc = Encoder(cfg, in_channels=1, seed=9, dtype=dtype, drop_path_rate=0.3)
     img = af.Tensor(rng_of(24).random((4, 1, 32, 32)).astype(dtype))
 
     def draws():

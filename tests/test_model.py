@@ -65,6 +65,18 @@ def test_config_roundtrips_through_dict():
     assert ModelConfig.from_dict(cfg.to_dict()).to_dict() == cfg.to_dict()
 
 
+def test_encoders_take_drop_path_from_the_model_config_and_a_4x_mlp():
+    """Block drop-path rates rise linearly to ``ModelConfig.drop_path_rate``
+    over the preset's 8 blocks, and every MLP is 4x its stage width."""
+    model = FusionModel(ModelConfig(drop_path_rate=0.2, dtype="float32"))
+    for enc in model.encoders:
+        blocks = [(stage, blk) for stage in enc.stages for blk in stage.blocks]
+        assert [blk.drop_path_rate for _, blk in blocks] == [0.2 * i / 7 for i in range(8)]
+        for stage, blk in blocks:
+            dim = stage.norm_gamma.shape[0]
+            assert blk.mlp.w1.shape == (dim, 4 * dim) and blk.mlp.w2.shape == (4 * dim, dim)
+
+
 def test_single_modality_model_has_no_bank():
     model = FusionModel(ModelConfig(modalities=("solo",), channels=(1,),
                                     num_classes=3, dtype="float32"))

@@ -505,6 +505,7 @@ def test_fit_matches_uncached_reference_bitwise(modalities, stages, frozen):
 def test_frozen_stage_count():
     assert staged_model(("vis",), (1, 2, 3, 4)).frozen_stages() == 4
     assert staged_model(("vis", "ir"), (3, 4)).frozen_stages() == 2
+    assert staged_model(("vis", "ir"), (4, 3, 3)).frozen_stages() == 2
     assert staged_model(("vis", "ir"), (1, 2, 3, 4)).frozen_stages() == 0
     assert staged_model(("vis",), (1, 2, 3, 4), drop_path_rate=0.1).frozen_stages() == 0
     model = staged_model(("vis", "ir"), (3, 4))

@@ -1,4 +1,4 @@
-"""Print a sha256 of five short training runs and of one saved checkpoint.
+"""Print a sha256 of seven short training runs and of one saved checkpoint.
 
 Two source trees that compute the same bits print the same lines, so
 this is the check that a change leaves the trained numbers alone. Run
@@ -10,12 +10,13 @@ each tree's ``src`` in turn and compare the outputs:
 
 Every run trains the ``tiny`` preset on the same 48 synthetic vis+ir
 scenes (32x32, 5 classes) for 3 epochs at batch 8 and lr 1e-2, with one
-BLAS thread. A run's digest covers its parameters (names and bytes),
-its epoch losses and the eval logits of the dataset's first batch. The
-logits are included because after 3 epochs every run predicts
-background only, so a confusion matrix would not tell them apart. The
-last line hashes the first run's checkpoint directory: the manifest and
-every blob, sorted by file name.
+BLAS thread; between them the runs use all three adapter densities. A
+run's digest covers its parameters (names and bytes), its epoch losses
+and the eval logits of the dataset's first batch. The logits are
+included because after 3 epochs every run predicts background only, so
+a confusion matrix would not tell them apart. The last line hashes the
+first run's checkpoint directory: the manifest and every blob, sorted
+by file name.
 """
 
 import os
@@ -39,6 +40,8 @@ RUNS = {
                                          dtype="float32"),
     "vis-only-f32": dict(modalities=("vis",), channels=(1,), dtype="float32"),
     "stages-2-3-f64": dict(active_stages=(2, 3), dtype="float64"),
+    "shared-f32": dict(density="shared", dtype="float32"),
+    "pair-uni-f32": dict(density="pair-uni", dtype="float32"),
 }
 
 
