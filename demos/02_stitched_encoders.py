@@ -54,7 +54,7 @@ for s in range(4):
 # pair-bidirectional bank carrying the same weights are the same
 # function (and a pair of tied unidirectional adapters matches too).
 
-report = check_density_equivalence(seed=0, num_inputs=5)
+report = check_density_equivalence(seed=0)
 print("\nM=2 shared == pair-bi:", report["m2_shared_vs_pair_bi"])
 print("M=2 tied pair-uni == pair-bi:", report["m2_tied_uni_vs_pair_bi"])
 print("M=3 shared != independent pairs:", report["m3_shared_vs_pair_bi_differ"],

@@ -1,7 +1,7 @@
 """adafuse: multimodal segmentation by stitching frozen transformer
 encoders together with cross-modal bottleneck adapters."""
 
-from .tensor import (Tensor, Tape, ShapeError, active_tape, backward, no_grad,
+from .tensor import (Tensor, ShapeError, active_tape, backward, no_grad,
                      add, sub, mul, matmul, attention, gelu, softmax,
                      log_softmax, layer_norm, dropout, drop_path, tsum, tmean,
                      reshape, transpose, concat, texp, tlog, extract_patches,

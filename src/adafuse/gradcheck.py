@@ -20,17 +20,15 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     ``f`` is a scalar-valued closure over ``params``; it must be
     deterministic (re-seed any internal randomness per call). When
     ``max_coords`` is set, a seeded random subsample of coordinates per
-    parameter is probed instead of every coordinate. Clears the calling
-    thread's tape: run it standalone, not mid-graph.
+    parameter is probed instead of every coordinate. Records a graph and
+    clears the calling thread's tape once, after backward: run it standalone.
     """
-    tape = active_tape()
-    tape.clear()
     for p in params:
         p.grad = None
 
     backward(f())
     analytic = [None if p.grad is None else p.grad.copy() for p in params]
-    tape.clear()
+    active_tape().clear()
 
     h = 1e-4                        # central-difference step
     pick_rng = np.random.default_rng(seed)

@@ -146,10 +146,8 @@ def train_step(model: FusionModel, images: dict, labels: np.ndarray,
 
     ``images`` may carry cached leading encoder stages in place of a
     modality's image (see ``FusionModel.encode``). The step records its
-    graph on the calling thread's tape and clears that tape before and
-    after, so steps in other threads keep their graphs."""
-    tape = active_tape()
-    tape.clear()
+    graph on the calling thread's tape and clears that tape once, after
+    backward or an abort, so steps in other threads keep their graphs."""
     try:
         h, w = labels.shape[-2], labels.shape[-1]
         logits = model.logits_at(images, h, w, train=True)
@@ -164,7 +162,7 @@ def train_step(model: FusionModel, images: dict, labels: np.ndarray,
         optimizer.zero_grad()
         return value
     finally:
-        tape.clear()
+        active_tape().clear()
 
 
 def _frozen_features(model: FusionModel, stages: int, cache: dict,

@@ -330,7 +330,7 @@ def test_fused_encode_refuses_bad_inputs_before_any_patch_embed(images, monkeypa
 
 @pytest.mark.parametrize("seed", [0, 7])
 def test_density_equivalence_report(seed):
-    report = check_density_equivalence(seed, num_inputs=3)
+    report = check_density_equivalence(seed)
     assert report["m2_shared_vs_pair_bi"]
     assert report["m2_tied_uni_vs_pair_bi"]
     assert report["m3_shared_vs_pair_bi_differ"]
