@@ -30,10 +30,13 @@ for variant in ("shared", "pair-bi", "pair-uni"):
     print(f"{variant:<9} M=3 bank: {len(bank)} adapters")
 
 # -- zero-init transparency ---------------------------------------------
+# Nothing here runs backward, so the forwards run under no_grad() and
+# record no graph.
 
 bank = build_adapter_bank(2, cfg, "pair-bi", (3, 4), bottleneck=8, seed=0)
-fused = fused_encode(encoders, imgs, bank)
-solo = [fused_encode([enc], [img], None)[0] for enc, img in zip(encoders, imgs)]
+with af.no_grad():
+    fused = fused_encode(encoders, imgs, bank)
+    solo = [fused_encode([enc], [img], None)[0] for enc, img in zip(encoders, imgs)]
 same = all(np.array_equal(f.data, s.data)
            for pf, ps in zip(fused, solo) for f, s in zip(pf, ps))
 print("\nfresh bank (zero up-projections) leaves encodings untouched:", same)
@@ -44,7 +47,8 @@ fill = np.random.default_rng(1)
 for name, p in bank.named_parameters():
     if "w_up" in name:
         p.data[...] = fill.normal(0.0, 0.1, p.shape)
-fused = fused_encode(encoders, imgs, bank)
+with af.no_grad():
+    fused = fused_encode(encoders, imgs, bank)
 for s in range(4):
     untouched = np.array_equal(fused[0][s].data, solo[0][s].data)
     print(f"  stage {s + 1}: bit-identical to the solo encoder: {untouched}")

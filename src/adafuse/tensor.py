@@ -10,13 +10,17 @@ record in reverse, so gradient accumulation order is fixed by forward
 order and runs are bit-stable. Each thread records its own graph and
 must run ``backward`` on it itself.
 
-A recorded op's result tensor holds the op's inputs and backward rule.
-The rule takes the output gradient and returns one entry per input: the
-input's gradient, or ``None`` for an input that did not require a
-gradient when the op ran. Frozen operands (encoder weights, constants,
-wrapped scalars) therefore cost no backward work. A tensor links only to
-its inputs, so the graph holds no cycle: once ``Tape.clear`` has run and
-the caller drops its tensors, reference counting frees every buffer.
+A recorded op gets a :class:`Node` that holds no value: its backward
+rule and its inputs' nodes (a leaf input is the tensor itself, whose
+``grad`` ``backward`` sets). The rule takes the output gradient and
+returns one entry per input: the input's gradient, or ``None`` for an
+input that did not require a gradient when the op ran. Frozen operands
+(encoder weights, constants, wrapped scalars) therefore cost no backward
+work. Each rule closes over only the arrays and shapes it reads, so a
+forward buffer that no rule reads is freed as soon as the forward code
+drops its tensor, while the graph is still alive. A node links only to
+its inputs' nodes, so the graph holds no cycle: once ``Tape.clear`` has
+run, reference counting frees every node and the buffers they saved.
 """
 
 from __future__ import annotations
@@ -41,14 +45,14 @@ class Tape(threading.local):
     """Execution-ordered record of primitive operations, one per thread.
 
     Each thread that touches a tape sees its own list of recorded
-    tensors and grad flag. Reverse iteration visits each exactly once,
+    nodes and grad flag. Reverse iteration visits each exactly once,
     which is the traversal ``backward`` uses. Clear it between training
     steps to release intermediate buffers; tensors kept past ``clear``
     keep their values, but a ``backward`` through them raises.
     """
 
     def __init__(self):
-        self._nodes: list[Tensor] = []
+        self._nodes: list[Node] = []
         self.grad_enabled = True
 
     def clear(self) -> None:
@@ -76,11 +80,24 @@ def no_grad():
         _TAPE.grad_enabled = saved
 
 
+class Node:
+    """A recorded op's place in the graph: its ``backward_fn`` and, per
+    input, the input's node, the input itself if it is a leaf that
+    requires a gradient, or ``None``. It holds no value of its own."""
+
+    __slots__ = ("inputs", "backward_fn")
+    requires_grad = True
+
+    def __init__(self, inputs: tuple, backward_fn: Callable):
+        self.inputs = inputs
+        self.backward_fn = backward_fn
+
+
 class Tensor:
     """A dense row-major n-d value with an optional gradient buffer; a
-    recorded op's result also holds its ``inputs`` and ``backward_fn``."""
+    recorded op's result also holds the op's ``node``."""
 
-    __slots__ = ("data", "grad", "requires_grad", "inputs", "backward_fn")
+    __slots__ = ("data", "grad", "requires_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -93,8 +110,7 @@ class Tensor:
         self.data: np.ndarray = data
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.inputs: Optional[tuple[Tensor, ...]] = None
-        self.backward_fn: Optional[Callable] = None
+        self.node: Optional[Node] = None
 
     # -- introspection ------------------------------------------------
     @property
@@ -145,9 +161,9 @@ def _make(out_data: np.ndarray, inputs: Sequence[Tensor],
     out = Tensor.__new__(Tensor)
     out._fill(out_data if isinstance(out_data, np.ndarray) else np.asarray(out_data), needs)
     if needs:
-        out.inputs = tuple(inputs)
-        out.backward_fn = backward_fn
-        _TAPE._nodes.append(out)
+        out.node = Node(tuple(t.node or (t if t.requires_grad else None) for t in inputs),
+                        backward_fn)
+        _TAPE._nodes.append(out.node)
     return out
 
 
@@ -179,9 +195,9 @@ def backward(loss: Tensor) -> None:
     if loss.size != 1:
         raise ShapeError(f"backward requires a scalar loss, got shape {loss.shape}")
 
-    # tensor -> pending gradient. A recorded tensor's rule runs only when
-    # it has a pending gradient, so ops outside the loss's graph never run.
-    pending: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
+    # node or leaf -> pending gradient. A node's rule runs only when it
+    # has a pending gradient, so ops outside the loss's graph never run.
+    pending: dict = {loss.node or loss: np.ones_like(loss.data)}
     for node in reversed(_TAPE._nodes):
         g_out = pending.pop(node, None)
         if g_out is None:
@@ -191,7 +207,7 @@ def backward(loss: Tensor) -> None:
                 continue
             prev = pending.get(t)
             pending[t] = g if prev is None else prev + g
-    if any(t.backward_fn is not None for t in pending):
+    if any(isinstance(t, Node) for t in pending):
         raise RuntimeError("backward: the loss's graph is not on this thread's tape; "
                            "it was cleared, or recorded in another thread")
     for t, g in pending.items():
@@ -202,36 +218,41 @@ def backward(loss: Tensor) -> None:
 # elementwise arithmetic
 # ---------------------------------------------------------------------
 
-def _broadcast_op(a: Tensor, b, fn, da, db, name: str) -> Tensor:
+def _broadcast_op(a: Tensor, b, fn, da, db, name: str, reads_operands: bool = False) -> Tensor:
+    """``da(g, b.data)`` and ``db(g, a.data)`` give the operands' gradients
+    before unbroadcasting; the other operand's array is kept for the rule
+    only if ``reads_operands`` and this side needs a gradient."""
     b = _as_tensor(b, a.dtype)
+    x, y = a.data, b.data
     try:
-        out = fn(a.data, b.data)
+        out = fn(x, y)
     except ValueError:
-        raise ShapeError(f"{name}: incompatible shapes {a.shape} and {b.shape}") from None
+        raise ShapeError(f"{name}: incompatible shapes {x.shape} and {y.shape}") from None
     need_a, need_b = a.requires_grad, b.requires_grad
+    shape_a, shape_b = x.shape, y.shape
+    x = x if reads_operands and need_b else None
+    y = y if reads_operands and need_a else None
 
     def bwd(g):
-        return (_unbroadcast(da(g, a.data, b.data), a.shape) if need_a else None,
-                _unbroadcast(db(g, a.data, b.data), b.shape) if need_b else None)
+        return (_unbroadcast(da(g, y), shape_a) if need_a else None,
+                _unbroadcast(db(g, x), shape_b) if need_b else None)
 
     return _make(out, (a, b), bwd)
 
 
 def add(a: Tensor, b) -> Tensor:
     """Pointwise sum; ``b`` may be a scalar or broadcast bias."""
-    return _broadcast_op(a, b, np.add,
-                         lambda g, x, y: g, lambda g, x, y: g, "add")
+    return _broadcast_op(a, b, np.add, lambda g, _: g, lambda g, _: g, "add")
 
 
 def sub(a: Tensor, b) -> Tensor:
-    return _broadcast_op(a, b, np.subtract,
-                         lambda g, x, y: g, lambda g, x, y: -g, "sub")
+    return _broadcast_op(a, b, np.subtract, lambda g, _: g, lambda g, _: -g, "sub")
 
 
 def mul(a: Tensor, b) -> Tensor:
     """Pointwise product; covers scaling by a python scalar."""
-    return _broadcast_op(a, b, np.multiply,
-                         lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+    return _broadcast_op(a, b, np.multiply, lambda g, y: g * y, lambda g, x: g * x, "mul",
+                         reads_operands=True)
 
 
 def texp(x: Tensor) -> Tensor:
@@ -240,7 +261,8 @@ def texp(x: Tensor) -> Tensor:
 
 
 def tlog(x: Tensor) -> Tensor:
-    return _make(np.log(x.data), (x,), lambda g: (g / x.data,))
+    xd = x.data
+    return _make(np.log(xd), (x,), lambda g: (g / xd,))
 
 
 # ---------------------------------------------------------------------
@@ -257,12 +279,13 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     round a row differently as the row count changes, and a sample's
     output must not depend on its batch mates, because ``fit`` caches
     frozen features per sample."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ShapeError(f"matmul requires >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ShapeError(f"matmul inner extents differ: {a.shape} x {b.shape}")
-    out = a.data @ b.data
-    k, e = b.shape[-2:]
+    x, w = a.data, b.data
+    if x.ndim < 2 or w.ndim < 2:
+        raise ShapeError(f"matmul requires >=2-d operands, got {x.shape} and {w.shape}")
+    if x.shape[-1] != w.shape[-2]:
+        raise ShapeError(f"matmul inner extents differ: {x.shape} x {w.shape}")
+    out = x @ w
+    k, e = w.shape[-2:]
     inputs = (a, b)
     if bias is not None:
         try:
@@ -273,20 +296,24 @@ def matmul(a: Tensor, b: Tensor, bias: Optional[Tensor] = None) -> Tensor:
         inputs = (a, b, bias)
     need_a, need_b = a.requires_grad, b.requires_grad
     need_bias = bias is not None and bias.requires_grad
+    shape_a, shape_b, flat_b = x.shape, w.shape, w.ndim == 2
+    shape_bias = None if bias is None else bias.data.shape
+    x = x if need_b else None                   # each side's gradient reads the other
+    w = w if need_a else None
 
     def bwd(g):
         ga = gb = None
-        if need_a and b.ndim == 2:
-            ga = (g.reshape(-1, e) @ b.data.T).reshape(a.shape)
+        if need_a and flat_b:
+            ga = (g.reshape(-1, e) @ w.T).reshape(shape_a)
         elif need_a:
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        if need_b and b.ndim == 2:
-            gb = a.data.reshape(-1, k).T @ g.reshape(-1, e)
+            ga = _unbroadcast(g @ np.swapaxes(w, -1, -2), shape_a)
+        if need_b and flat_b:
+            gb = x.reshape(-1, k).T @ g.reshape(-1, e)
         elif need_b:
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        if bias is None:
+            gb = _unbroadcast(np.swapaxes(x, -1, -2) @ g, shape_b)
+        if shape_bias is None:
             return ga, gb
-        return ga, gb, _unbroadcast(g, bias.shape) if need_bias else None
+        return ga, gb, _unbroadcast(g, shape_bias) if need_bias else None
 
     return _make(out, inputs, bwd)
 
@@ -321,6 +348,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     attn = e / e.sum(axis=-1, keepdims=True)
     out = (attn @ vh).transpose(0, 2, 1, 3).reshape(b, n, d)
     need_q, need_k, need_v = q.requires_grad, k.requires_grad, v.requires_grad
+    kv_shape = k.shape
 
     def merge(gh, shape):                       # [B, heads, L, hd] -> [B, L, d]
         return gh.transpose(0, 2, 1, 3).reshape(shape)
@@ -333,11 +361,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
             dot = (gattn * attn).sum(axis=-1, keepdims=True)
             gscores = attn * (gattn - dot) * scale
             if need_q:
-                gq = merge(gscores @ np.swapaxes(kt, -1, -2), q.shape)
+                gq = merge(gscores @ np.swapaxes(kt, -1, -2), (b, n, d))
             if need_k:
-                gk = merge((np.swapaxes(qh, -1, -2) @ gscores).transpose(0, 1, 3, 2), k.shape)
+                gk = merge((np.swapaxes(qh, -1, -2) @ gscores).transpose(0, 1, 3, 2), kv_shape)
         if need_v:
-            gv = merge(np.swapaxes(attn, -1, -2) @ gctx, v.shape)
+            gv = merge(np.swapaxes(attn, -1, -2) @ gctx, kv_shape)
         return gq, gk, gv
 
     return _make(out, (q, k, v), bwd)
@@ -353,12 +381,13 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 def gelu(x: Tensor) -> Tensor:
     """Exact Gaussian-CDF GELU: x * Phi(x)."""
-    phi = 0.5 * (1.0 + erf(x.data / _SQRT2))
-    out = x.data * phi
+    xd = x.data
+    phi = 0.5 * (1.0 + erf(xd / _SQRT2))
+    out = xd * phi
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT_2PI
-        return (g * (phi + x.data * pdf),)
+        pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
+        return (g * (phi + xd * pdf),)
 
     return _make(out, (x,), bwd)
 
@@ -408,6 +437,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     xhat = centered * inv
     out = xhat * gamma.data + beta.data
     need_x, need_gamma, need_beta = x.requires_grad, gamma.requires_grad, beta.requires_grad
+    gd = gamma.data
 
     def bwd(g):
         lead = tuple(range(g.ndim - 1))
@@ -417,7 +447,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         if need_gamma:
             dgamma = np.add.reduce(g * xhat, axis=lead)
         if need_x:
-            dxhat = g * gamma.data
+            dxhat = g * gd
             dx = inv * (dxhat
                         - mean_last(dxhat)
                         - xhat * mean_last(dxhat * xhat))
@@ -457,11 +487,12 @@ def drop_path(x: Tensor, p: float, *, rng: Optional[np.random.Generator] = None)
 
 def tsum(x: Tensor, axis: Optional[int] = None) -> Tensor:
     out = x.data.sum(axis=axis)
+    shape, dtype = x.shape, x.dtype
 
     def bwd(g):
         if axis is not None:
             g = np.expand_dims(g, axis)
-        return (np.broadcast_to(g, x.shape).astype(x.dtype, copy=True),)
+        return (np.broadcast_to(g, shape).astype(dtype, copy=True),)
 
     return _make(out, (x,), bwd)
 
@@ -472,8 +503,8 @@ def tmean(x: Tensor, axis: Optional[int] = None) -> Tensor:
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = x.data.reshape(shape)
-    return _make(out, (x,), lambda g: (g.reshape(x.shape),))
+    out, in_shape = x.data.reshape(shape), x.data.shape
+    return _make(out, (x,), lambda g: (g.reshape(in_shape),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
@@ -509,6 +540,7 @@ def extract_patches(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
     if x.ndim != 4:
         raise ShapeError(f"extract_patches expects [B, C, H, W], got {x.shape}")
     b, c, h, w = x.shape
+    dtype = x.dtype
     out_h = (h + 2 * pad - kernel) // stride + 1
     out_w = (w + 2 * pad - kernel) // stride + 1
     if out_h <= 0 or out_w <= 0:
@@ -517,19 +549,19 @@ def extract_patches(x: Tensor, kernel: int, stride: int, pad: int) -> Tensor:
             f"kernel={kernel} stride={stride} pad={pad}")
     xp = x.data
     if pad:
-        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+        xp = np.zeros((b, c, h + 2 * pad, w + 2 * pad), dtype=dtype)
         xp[:, :, pad:pad + h, pad:pad + w] = x.data
     padded = xp.shape
     sb, sc, sh, sw = xp.strides
     win = np.lib.stride_tricks.as_strided(xp, (b, out_h, out_w, c, kernel, kernel),
                                           (sb, sh * stride, sw * stride, sc, sh, sw))
-    out = np.empty(win.shape, dtype=x.dtype)         # [B, out_h, out_w, C, k, k]
+    out = np.empty(win.shape, dtype=dtype)           # [B, out_h, out_w, C, k, k]
     out[...] = win
     out = out.reshape(b, out_h * out_w, c * kernel * kernel)
 
     def bwd(g):
         gw = g.reshape(b, out_h, out_w, c, kernel, kernel).transpose(0, 3, 1, 2, 4, 5)
-        gp = np.zeros(padded, dtype=x.dtype)
+        gp = np.zeros(padded, dtype=dtype)
         for ki in range(kernel):
             for kj in range(kernel):
                 gp[:, :, ki:ki + out_h * stride:stride,

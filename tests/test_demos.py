@@ -1,6 +1,7 @@
 """Every demo script runs to completion against the current API."""
 
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -25,6 +26,12 @@ def run_demo(name, cwd):
                                   "03_parameter_budgets.py", "04_synthetic_scenes.py"])
 def test_demo_runs(name, tmp_path):
     run_demo(name, tmp_path)
+
+
+def test_stitched_encoders_demo_records_no_graph(capsys):
+    """Demo 02 never runs backward, so it leaves the tape empty."""
+    runpy.run_path(str(DEMOS / "02_stitched_encoders.py"), run_name="__main__")
+    assert len(af.active_tape()) == 0
 
 
 @pytest.mark.slow

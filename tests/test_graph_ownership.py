@@ -1,12 +1,17 @@
 """Graph ownership: only ``train_step`` and ``grad_check_params`` record a
 graph, each frees it before returning, and every other public entry
-point returns with the calling thread's tape as empty as it found it."""
+point returns with the calling thread's tape as empty as it found it.
+Graph lifetime: a recorded graph keeps only the buffers its backward
+rules read, so forward buffers no rule reads are freed during the
+forward, with the same gradient bytes as when they are kept."""
+
+import weakref
 
 import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse import cli
+from adafuse import adapters, cli, heads
 from adafuse.data import generate_synthetic, load_dataset, save_dataset, stack_batch
 from adafuse.training import (AdamW, TrainConfig, TrainingError, evaluate, fit,
                               load_checkpoint, save_checkpoint, train_step)
@@ -96,3 +101,68 @@ def test_public_entry_point_returns_with_an_empty_tape(entry, tmp_path, capsys):
     assert len(af.active_tape()) == 0
     entry(tmp_path)
     assert len(af.active_tape()) == 0
+
+
+def recorded_grads(watch, keep):
+    """Record one forward of ``tiny_model`` and run its backward. ``watch``
+    installs wrappers that call ``seen(out)`` for each op output to track.
+    Returns whether each tracked output's buffer was freed by the end of
+    the forward, while its graph was alive, and the trainable gradients'
+    bytes. With ``keep`` the test holds every tracked output."""
+    refs, kept = [], []
+
+    def seen(out):
+        refs.append(weakref.ref(out.data))
+        if keep:
+            kept.append(out)
+    watch(seen)
+    model = tiny_model()
+    images, _ = stack_batch(tiny_dataset().samples, model.config.modalities)
+    loss = af.tsum(model.forward(images))
+    freed = [ref() is None for ref in refs]
+    af.backward(loss)
+    af.active_tape().clear()
+    return freed, {name: p.grad.tobytes() for name, p in model.trainable_parameters()}
+
+
+def decoder_concat(monkeypatch):
+    def watch(seen):
+        def concat(tensors, axis, _concat=heads.concat):
+            out = _concat(tensors, axis)
+            seen(out)
+            return out
+        monkeypatch.setattr(heads, "concat", concat)
+    return watch
+
+
+def fused_block_residual_add(monkeypatch):
+    """Tracks ``z + DropPath(Attn(LN1(z)))``: an add whose left operand
+    is one of a fused block's inputs."""
+    def watch(seen):
+        block_inputs = []
+
+        def block(xs, *args, _block=adapters.fused_block_forward, **kwargs):
+            block_inputs.append(xs)
+            try:
+                return _block(xs, *args, **kwargs)
+            finally:
+                block_inputs.pop()
+
+        def add(a, b, _add=af.tensor.add):
+            out = _add(a, b)
+            if block_inputs and any(a is x for x in block_inputs[-1]):
+                seen(out)
+            return out
+        monkeypatch.setattr(adapters, "fused_block_forward", block)
+        monkeypatch.setattr(af.tensor, "add", add)
+    return watch
+
+
+@pytest.mark.parametrize("tracked", [decoder_concat, fused_block_residual_add])
+def test_forward_buffers_no_backward_reads_are_freed_during_the_forward(tracked,
+                                                                        monkeypatch):
+    freed, grads = recorded_grads(tracked(monkeypatch), keep=False)
+    assert freed and all(freed)
+    held, held_grads = recorded_grads(tracked(monkeypatch), keep=True)
+    assert len(held) == len(freed) and not any(held)
+    assert grads == held_grads

@@ -287,7 +287,7 @@ def test_no_grad_suppresses_recording():
     x = t(np.ones(3), rg=True)
     with af.no_grad():
         y = x * 2.0
-    assert y.backward_fn is None and not y.requires_grad
+    assert y.node is None and not y.requires_grad
     assert len(af.active_tape()) == 0
 
 
@@ -308,7 +308,7 @@ def test_no_grad_in_one_thread_leaves_another_recording():
         release.set()
         holder.join(timeout=10)
     assert not holder.is_alive()
-    assert y.requires_grad and y.backward_fn is not None
+    assert y.requires_grad and y.node is not None
     assert len(af.active_tape()) == 1
 
 
@@ -437,7 +437,7 @@ def test_upsample_gradient():
 
 def rule(out, g=None):
     """Run the backward rule of the op that produced ``out``."""
-    return out.backward_fn(np.ones_like(out.data) if g is None else g)
+    return out.node.backward_fn(np.ones_like(out.data) if g is None else g)
 
 
 def test_matmul_rule_skips_frozen_operand():
@@ -739,7 +739,7 @@ def test_grad_matches_data_shape_after_backward():
 
 def test_backward_stores_grad_on_leaves_only(monkeypatch):
     """Intermediate outputs get no ``grad``; leaf gradients equal a plain
-    reverse sweep over the tape that accumulates in the same order."""
+    reverse sweep over the tape's nodes that accumulates in the same order."""
     outputs = []
 
     def make(out_data, inputs, backward_fn, _make=af.tensor._make):
@@ -754,10 +754,10 @@ def test_backward_stores_grad_on_leaves_only(monkeypatch):
     images = {name: rng.random((2, 1, 32, 32)) for name in ("vis", "ir")}
     loss = af.tsum(model.forward(images, train=True))
     nodes = list(af.active_tape()._nodes)
-    assert [out for out in outputs if out.backward_fn is not None] == nodes
+    assert [out.node for out in outputs if out.node is not None] == nodes
 
-    # tensor -> gradient
-    grads = {loss: np.ones_like(loss.data)}
+    # node or leaf -> gradient
+    grads = {loss.node: np.ones_like(loss.data)}
     for node in reversed(nodes):
         g_out = grads.get(node)
         if g_out is None:
@@ -767,7 +767,7 @@ def test_backward_stores_grad_on_leaves_only(monkeypatch):
                 grads[x] = grads[x] + g if x in grads else g
 
     af.backward(loss)
-    assert all(out.grad is None for out in outputs if out.backward_fn is not None)
+    assert all(out.grad is None for out in outputs if out.node is not None)
     leaves = [p for _, p in model.trainable_parameters()]
     assert all(p.grad is not None for p in leaves)
     for p in leaves:

@@ -353,7 +353,7 @@ def test_step_graph_is_freed_without_the_cycle_collector():
         train_step(model, images, labels, opt, lr=1e-3)
         gc.set_debug(gc.DEBUG_SAVEALL)
         gc.collect()
-        leaked = sum(isinstance(o, af.Tensor) for o in gc.garbage)
+        leaked = sum(isinstance(o, (af.Tensor, af.tensor.Node)) for o in gc.garbage)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
