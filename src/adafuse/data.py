@@ -147,11 +147,16 @@ def write_store(directory, kind: str, fields: dict,
     and moved into place after the last. Every blob is named by one of
     the two files at every step, so an interrupted save leaves no
     manifest, never a mix of two saves, and the next save deletes what
-    it left. Other files are left alone.
+    it left. Other files are left alone. A readable old manifest of
+    another ``kind`` raises ``StoreError`` before anything is touched.
     """
     out = Path(directory)
-    out.mkdir(parents=True, exist_ok=True)
     final, tmp = out / MANIFEST, out / (MANIFEST + ".tmp")
+    old_kind = _manifest_kind(final)
+    if old_kind not in (None, kind):
+        raise StoreError(f"{directory} holds a {old_kind!r} store, "
+                         f"refusing to overwrite it with a {kind}")
+    out.mkdir(parents=True, exist_ok=True)
     pending = _named_blobs(tmp)
     if final.exists():
         _unlink_blobs(out, pending - _named_blobs(final))
@@ -171,6 +176,15 @@ def _unlink_blobs(root: Path, paths: set[Path]) -> None:
     for path in paths - {Path(MANIFEST), Path(MANIFEST + ".tmp")}:
         if (root / path).is_file():
             (root / path).unlink()
+
+
+def _manifest_kind(manifest_path: Path):
+    """The ``kind`` a manifest names; None if it is missing or unreadable."""
+    try:
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    except (OSError, ValueError, RecursionError):
+        return None
+    return manifest.get("kind") if isinstance(manifest, dict) else None
 
 
 def _named_blobs(manifest_path: Path) -> set[Path]:

@@ -147,14 +147,14 @@ class Mlp(Module):
 class TransformerBlock(Module):
     """Pre-norm attention + MLP block with per-branch drop-path."""
 
-    def __init__(self, dim: int, heads: int, sr_ratio: int, mlp_ratio: int,
-                 drop_path_rate: float, rng: np.random.Generator, dtype=np.float64):
+    def __init__(self, dim: int, heads: int, sr_ratio: int, drop_path_rate: float,
+                 rng: np.random.Generator, dtype=np.float64):
         self.ln1_gamma = ones(dim, dtype=dtype)
         self.ln1_beta = zeros(dim, dtype=dtype)
         self.attn = Attention(dim, heads, sr_ratio, rng, dtype)
         self.ln2_gamma = ones(dim, dtype=dtype)
         self.ln2_beta = zeros(dim, dtype=dtype)
-        self.mlp = Mlp(dim, dim * mlp_ratio, rng, dtype)
+        self.mlp = Mlp(dim, dim * MLP_RATIO, rng, dtype)
         self.drop_path_rate = drop_path_rate
 
     def norm1(self, x: Tensor) -> Tensor:
@@ -196,8 +196,7 @@ class Encoder(Module):
                 patch=PatchEmbed(channels[s], dim, config.strides[s],
                                  derive_rng(*path, s), dtype),
                 blocks=[TransformerBlock(dim, config.heads[s], config.sr_ratios[s],
-                                         MLP_RATIO, rates[first + b],
-                                         derive_rng(*path, s, b), dtype)
+                                         rates[first + b], derive_rng(*path, s, b), dtype)
                         for b in range(config.depths[s])],
                 norm_gamma=ones(dim, dtype=dtype), norm_beta=zeros(dim, dtype=dtype)))
 

@@ -130,6 +130,8 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
+        if self.data.size != 1:
+            raise ShapeError(f"item requires a one-element tensor, got shape {self.shape}")
         return float(self.data.reshape(-1)[0])
 
     def __repr__(self):

@@ -30,10 +30,6 @@ class TrainConfig(ConfigCodec):
     decay_factor: float = 0.01
     epochs: int = 50
     batch_size: int = 8
-    weight_decay: float = 0.01
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     seed: int = 0
 
     def __post_init__(self):
@@ -44,11 +40,8 @@ class TrainConfig(ConfigCodec):
             raise ValueError("warmup_epochs cannot exceed epochs")
         if self.batch_size < 1 or self.epochs < 1:
             raise ValueError("epochs and batch_size must be >= 1")
-        if not (self.base_lr >= 0.0 and self.warmup_epochs >= 0.0
-                and self.weight_decay >= 0.0 and self.seed >= 0):
-            raise ValueError("base_lr, warmup_epochs, weight_decay and seed must be >= 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0 and self.eps > 0.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1) and eps > 0")
+        if not (self.base_lr >= 0.0 and self.warmup_epochs >= 0.0 and self.seed >= 0):
+            raise ValueError("base_lr, warmup_epochs and seed must be >= 0")
 
 
 def lr_at(t: float, cfg: TrainConfig) -> float:
@@ -94,7 +87,8 @@ def cross_entropy(logits: Tensor, labels: np.ndarray,
 
 
 class AdamW:
-    """Adaptive moments with decoupled weight decay.
+    """Adaptive moments with decoupled weight decay. The keyword defaults
+    are the constants ``fit`` trains with; no config overrides them.
 
     ``step`` updates parameters and moments in place, through two
     scratch buffers per dtype the size of the largest parameter."""
@@ -190,9 +184,7 @@ def fit(model: FusionModel, dataset: SceneDataset, cfg: TrainConfig,
     later epoch of this call."""
     if len(dataset) == 0:
         raise ValueError("cannot train on an empty dataset")
-    optimizer = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr,
-                      beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                      weight_decay=cfg.weight_decay)
+    optimizer = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr)
     steps_per_epoch = math.ceil(len(dataset) / cfg.batch_size)
     frozen = model.frozen_stages()
     # keyed by id(sample): the dataset holds every sample for the whole call

@@ -113,7 +113,7 @@ def fused_block_check(seed: int) -> float:
     rng = np.random.default_rng(seed)
     config = EncoderConfig(dims=(8,), depths=(1,), heads=(2,), strides=(2,),
                            sr_ratios=(1,))
-    blocks = [TransformerBlock(8, 2, 1, 2, 0.0, np.random.default_rng([seed, i]))
+    blocks = [TransformerBlock(8, 2, 1, 0.0, np.random.default_rng([seed, i]))
               for i in range(2)]
     bank = build_adapter_bank(2, config, "pair-bi", (1,), bottleneck=3, seed=seed,
                               dropout_rate=0.0)

@@ -140,7 +140,7 @@ def test_density_config_validation():
 # ---------------------------------------------------------------------
 
 def _micro_blocks(m, seed=0, dim=8):
-    return [TransformerBlock(dim, 2, 1, 2, 0.0, rng_of(seed + i)) for i in range(m)]
+    return [TransformerBlock(dim, 2, 1, 0.0, rng_of(seed + i)) for i in range(m)]
 
 
 def _micro_bank(m, variant, seed=0, dim=8, randomize=True):
@@ -217,7 +217,7 @@ def test_fused_block_gradients_through_adapters_and_blocks():
     blocks = _micro_blocks(2, seed=5, dim=4)
     cfg = EncoderConfig(dims=(4,), depths=(1,), heads=(2,), strides=(2,),
                         sr_ratios=(1,))
-    blocks = [TransformerBlock(4, 2, 1, 2, 0.0, rng_of(5 + i)) for i in range(2)]
+    blocks = [TransformerBlock(4, 2, 1, 0.0, rng_of(5 + i)) for i in range(2)]
     bank = build_adapter_bank(2, cfg, "pair-bi", (1,), 2, 5,
                               dropout_rate=0.0)
     fill = rng_of(55)

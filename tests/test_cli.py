@@ -232,6 +232,18 @@ def test_eval_refuses_a_checkpoint_that_does_not_fit_its_model(tmp_path, capsys,
     assert code == 3
     assert message in capsys.readouterr().err
 
+
+def test_synth_data_over_a_checkpoint_is_io_error_and_leaves_it_whole(tmp_path, capsys):
+    dirs = eval_inputs(tmp_path)
+    checkpoint = dirs["checkpoint"]
+    before = {p.name: p.read_bytes() for p in checkpoint.iterdir()}
+    assert run(["synth-data", "--out", str(checkpoint), "--samples", "2"]) == 3
+    assert "holds a 'checkpoint' store, refusing to overwrite it with a dataset" in \
+        capsys.readouterr().err
+    assert {p.name: p.read_bytes() for p in checkpoint.iterdir()} == before
+    assert run(["eval", "--checkpoint", str(checkpoint), "--data", str(dirs["data"])]) == 0
+
+
 def test_unknown_flag_is_an_error(tmp_path):
     with pytest.raises(SystemExit) as exc:
         run(["param-count", "--frobnicate"])
@@ -437,12 +449,9 @@ def test_config_file_string_for_a_tuple_field_is_a_type_error(tmp_path, capsys):
 
 
 OUT_OF_RANGE = [("train", "base_lr", -1.0), ("train", "warmup_epochs", -2.0),
-                ("train", "weight_decay", -0.1), ("train", "beta1", 1.5),
-                ("train", "beta2", 1.0), ("train", "eps", 0.0), ("train", "seed", -1),
-                ("model", "adapter_dropout", 1.0), ("model", "drop_path_rate", -0.5),
-                ("train", "base_lr", math.inf), ("train", "weight_decay", math.inf),
-                ("train", "eps", math.inf), ("train", "warmup_epochs", math.nan),
-                ("model", "drop_path_rate", -math.inf)]
+                ("train", "seed", -1), ("model", "adapter_dropout", 1.0),
+                ("model", "drop_path_rate", -0.5), ("train", "base_lr", math.inf),
+                ("train", "warmup_epochs", math.nan), ("model", "drop_path_rate", -math.inf)]
 
 
 @pytest.mark.parametrize("section,key,value", OUT_OF_RANGE,
@@ -461,6 +470,28 @@ def test_out_of_range_config_value_is_refused_before_anything_is_written(
     assert code == 2
     err = capsys.readouterr().err
     assert "config error" in err and key in err
+    assert not out.exists()
+
+
+ADAMW_CONSTANTS = [("weight_decay", 0.01), ("beta1", 0.9), ("beta2", 0.999),
+                   ("eps", 1e-8)]
+
+
+@pytest.mark.parametrize("key,value", ADAMW_CONSTANTS,
+                         ids=[k for k, _ in ADAMW_CONSTANTS])
+def test_adamw_constant_in_a_config_file_is_an_unknown_key_before_anything_is_written(
+        tmp_path, capsys, key, value):
+    """AdamW's betas, eps and weight decay are fixed; even their own
+    values are refused as train config keys."""
+    data_dir = save_dataset(generate_synthetic(2, 32, 32, 5, 2, seed=3), tmp_path / "ds")
+    out = tmp_path / "run"
+    cfg_file = tmp_path / "cfg.json"
+    cfg_file.write_text(json.dumps({"train": {"epochs": 1, "warmup_epochs": 0,
+                                              "batch_size": 2, key: value}}))
+    code = run(["train", "--data", str(data_dir), "--out", str(out),
+                "--config", str(cfg_file)])
+    assert code == 2
+    assert f"unknown train config keys: ['{key}']" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -124,14 +124,14 @@ def test_attention_gradient(sr):
 # ---------------------------------------------------------------------
 
 def test_block_drop_path_one_degenerates_to_skip():
-    blk = TransformerBlock(8, 2, 1, 4, 1.0 - 1e-9, rng_of(15))
+    blk = TransformerBlock(8, 2, 1, 1.0 - 1e-9, rng_of(15))
     x = af.Tensor(rng_of(16).normal(size=(2, 4, 8)))
     out = blk(x, 2, 2, rng=rng_of(17))
     assert np.array_equal(out.data, x.data)
 
 
 def test_block_zero_weights_is_identity_in_eval():
-    blk = TransformerBlock(8, 2, 1, 4, 0.0, rng_of(18))
+    blk = TransformerBlock(8, 2, 1, 0.0, rng_of(18))
     for name, p in blk.named_parameters("b"):
         if name.endswith(("gamma",)):
             continue
@@ -142,7 +142,7 @@ def test_block_zero_weights_is_identity_in_eval():
 
 
 def test_block_gradient():
-    blk = TransformerBlock(4, 2, 1, 2, 0.0, rng_of(20))
+    blk = TransformerBlock(4, 2, 1, 0.0, rng_of(20))
     x = af.Tensor(rng_of(21).normal(size=(1, 4, 4)), requires_grad=True)
     params = [x] + [p for _, p in blk.named_parameters("b")]
     for p in params:

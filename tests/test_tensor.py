@@ -1,5 +1,6 @@
 """Primitive ops: contract examples, gradient oracles, invariants."""
 
+import re
 import threading
 
 import numpy as np
@@ -263,6 +264,14 @@ def test_backward_rejects_non_scalar():
     x = t(np.ones((2, 2)), rg=True)
     with pytest.raises(ShapeError):
         af.backward(x + x)
+
+
+def test_item_reads_one_element_tensors_and_rejects_every_other_size():
+    assert t(2.5).item() == 2.5
+    assert t([[-1.0]]).item() == -1.0
+    for data in ([1.0, 2.0, 3.0], np.zeros((0,)), np.ones((2, 2))):
+        with pytest.raises(ShapeError, match=re.escape(f"got shape {np.shape(data)}")):
+            t(data).item()
 
 
 def test_backward_accumulates_across_calls():

@@ -474,9 +474,7 @@ def staged_model(modalities, stages, seed=11, **extra):
 
 def reference_fit(model, dataset, cfg):
     """``fit`` without the cache: ``train_step`` on raw stacked images."""
-    opt = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr,
-                beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.eps,
-                weight_decay=cfg.weight_decay)
+    opt = AdamW([p for _, p in model.trainable_parameters()], lr=cfg.base_lr)
     steps = math.ceil(len(dataset) / cfg.batch_size)
     for epoch in range(cfg.epochs):
         for step, batch in enumerate(batch_iter(dataset, cfg.batch_size,
@@ -645,6 +643,15 @@ def test_smaller_save_over_a_checkpoint_removes_stale_blobs(tmp_path):
     assert len(named) + 1 < fused_files
     assert {p.name for p in root.iterdir()} == named | {"manifest.json"}
     assert load_checkpoint(root).config.modalities == ("vis",)
+
+
+def test_a_checkpoint_save_over_a_dataset_is_refused_and_leaves_it_whole(tmp_path):
+    root = af.save_dataset(tiny_dataset(n=2), tmp_path / "ds")
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    with pytest.raises(StoreError, match="holds a 'dataset' store"):
+        save_checkpoint(tiny_model(), root)
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+    assert len(af.load_dataset(root)) == 2
 
 
 def test_a_checkpoint_record_of_another_shape_is_refused_before_its_blob_is_read(
