@@ -389,7 +389,12 @@ def gelu(x: Tensor) -> Tensor:
 
     def bwd(g):
         pdf = np.exp(-0.5 * xd * xd) * _INV_SQRT_2PI
-        return (g * (phi + xd * pdf),)
+        gx = g * (phi + xd * pdf)
+        # Below about x = -11 the product underflows to subnormals, and
+        # every GEMM that reads them takes the CPU's slow path. Flushed,
+        # they are far below the last bit of any sum they would join.
+        gx[np.abs(gx) < np.finfo(gx.dtype).tiny] = 0
+        return (gx,)
 
     return _make(out, (x,), bwd)
 

@@ -1,10 +1,12 @@
 """Primitive ops: contract examples, gradient oracles, invariants."""
 
+import math
 import re
 import threading
 
 import numpy as np
 import pytest
+from scipy.special import erf
 
 import adafuse as af
 from adafuse.gradcheck import grad_check_params
@@ -158,6 +160,30 @@ def test_gelu_gradient(seed):
     x = t(rng.normal(size=(3, 4)), rg=True)
     err = grad_check_params(lambda: af.tsum(af.gelu(x) * x), [x])
     assert err < 1e-4
+
+
+@pytest.mark.parametrize("dtype,scales", [
+    (np.float32, (1.0, -1e-3, 1e-5, -1e-9)),
+    (np.float64, (1.0, -1e-3, 1e-280, -1e-300)),
+])
+def test_gelu_gradient_flushes_subnormals_to_zero(dtype, scales):
+    """Where ``g * (phi + x*pdf)`` is subnormal or zero the input gradient
+    is +0.0; everywhere else it is that product, bit for bit."""
+    x, g = np.meshgrid(np.array([-14.0, -13.0, -12.5, -6.0, -1.0, 0.0, 0.5, 3.0, 14.0], dtype),
+                       np.array(scales, dtype))
+    xt = af.Tensor(x, requires_grad=True)
+    af.backward(af.tsum(af.gelu(xt) * af.Tensor(g)))
+
+    phi = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    pdf = np.exp(-0.5 * x * x) * (1.0 / math.sqrt(2.0 * math.pi))
+    with np.errstate(under="ignore"):
+        product = g * (phi + x * pdf)
+    tiny = np.finfo(dtype).tiny
+    flushed = np.abs(product) < tiny
+    assert (flushed & (product != 0)).any() and (~flushed).any()
+    assert xt.grad.dtype == dtype
+    assert (xt.grad[flushed] == 0).all() and not np.signbit(xt.grad[flushed]).any()
+    assert xt.grad[~flushed].tobytes() == product[~flushed].tobytes()
 
 
 # ---------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import adafuse as af
-from adafuse import training
+from adafuse import tensor, training
 from adafuse.data import (SceneDataset, StoreError, batch_iter, generate_synthetic,
                           stack_batch)
 from adafuse.encoder import Encoder, PatchEmbed, TransformerBlock
@@ -536,6 +536,38 @@ def test_recorded_graph_size_is_pinned(preset, modalities, stages, ffm, nodes):
         assert len(tape) == nodes
     finally:
         tape.clear()
+
+
+def test_no_backward_rule_passes_a_subnormal_gradient_on(monkeypatch):
+    """Subnormal operands put BLAS and numpy on the CPU's slow path. Run
+    the ``stages-3-4-ffm-f32`` fit of ``tools/fit_digests.py``, where GELU's
+    rule once returned thousands, and check every gradient a rule returns
+    for a recorded op's output, which the next rule's GEMMs read. A
+    parameter's gradient reaches only AdamW, so it is not checked."""
+    make = tensor._make
+    subnormals = {}
+
+    def checked_make(out_data, inputs, backward_fn):
+        recorded = [t.node is not None for t in inputs]
+
+        def checked(g):
+            grads = backward_fn(g)
+            name = backward_fn.__qualname__.split(".")[0]
+            for grad, is_recorded in zip(grads, recorded):
+                if grad is not None and is_recorded:
+                    tiny = np.finfo(grad.dtype).tiny
+                    count = int(((grad != 0) & (np.abs(grad) < tiny)).sum())
+                    subnormals[name] = subnormals.get(name, 0) + count
+            return grads
+        return make(out_data, inputs, checked)
+
+    monkeypatch.setattr(tensor, "_make", checked_make)
+    model = af.FusionModel(af.ModelConfig(active_stages=(3, 4), use_ffm=True,
+                                          dtype="float32"))
+    fit(model, generate_synthetic(48, 32, 32, num_classes=5, num_modalities=2, seed=0),
+        TrainConfig(base_lr=1e-2, warmup_epochs=0.0, epochs=3, batch_size=8))
+    assert "gelu" in subnormals
+    assert not {name: count for name, count in subnormals.items() if count}
 
 
 def test_fit_encodes_each_sample_prefix_once(monkeypatch):
