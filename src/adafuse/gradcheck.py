@@ -21,14 +21,17 @@ def grad_check_params(f: Callable[[], Tensor], params: Sequence[Tensor],
     deterministic (re-seed any internal randomness per call). When
     ``max_coords`` is set, a seeded random subsample of coordinates per
     parameter is probed instead of every coordinate. Records a graph and
-    clears the calling thread's tape once, after backward: run it standalone.
+    clears the calling thread's tape once, after backward or when the
+    recorded forward or backward aborts: run it standalone.
     """
     for p in params:
         p.grad = None
 
-    backward(f())
-    analytic = [None if p.grad is None else p.grad.copy() for p in params]
-    active_tape().clear()
+    try:
+        backward(f())
+        analytic = [None if p.grad is None else p.grad.copy() for p in params]
+    finally:
+        active_tape().clear()
 
     h = 1e-4                        # central-difference step
     pick_rng = np.random.default_rng(seed)

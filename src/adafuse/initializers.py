@@ -14,11 +14,6 @@ import numpy as np
 from .tensor import Tensor
 
 
-def derive_rng(*seed_path: int) -> np.random.Generator:
-    """Independent PCG64 stream for a structural position in the model."""
-    return np.random.default_rng(list(seed_path))
-
-
 def trunc_normal(shape, rng: np.random.Generator, dtype=np.float64) -> Tensor:
     """Normal(0, 0.02) redrawn until within +/-2 std, like common ViT init."""
     std = 0.02

@@ -10,6 +10,7 @@ import numpy as np
 
 from .adapters import (AdapterBank, build_adapter_bank, check_bottleneck, fused_encode,
                        fused_stages, routes_for)
+from .data import json_typed_like
 from .encoder import Encoder, EncoderConfig
 from .heads import Decoder, FeatureFusion, modal_merge
 from .initializers import Module
@@ -43,7 +44,7 @@ class ConfigCodec:
     def check_type(cls, key: str, value) -> None:
         """Raise ``ValueError`` if ``value`` is not of field ``key``'s JSON type."""
         default = cls.__dataclass_fields__[key].default
-        if not _json_typed_like(value, default):
+        if not json_typed_like(value, default):
             raise ValueError(f"{cls.section} config key {key!r} holds {value!r}, "
                              f"not of the type of its default {default!r}")
 
@@ -52,18 +53,6 @@ class ConfigCodec:
         for key, field in self.__dataclass_fields__.items():
             if isinstance(field.default, float) and not abs(getattr(self, key)) <= _FLOAT_MAX:
                 raise ValueError(f"{self.section} config key {key!r} must be a finite float")
-
-
-def _json_typed_like(value, default) -> bool:
-    """Whether ``value`` has the JSON type of ``default``: bool; int, not
-    bool; float, or an int; str; for a tuple, a list (or tuple) of its
-    first element's type."""
-    if isinstance(default, tuple):
-        return (isinstance(value, (list, tuple))
-                and all(_json_typed_like(v, default[0]) for v in value))
-    if isinstance(value, bool) or isinstance(default, bool):
-        return type(value) is type(default)
-    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
 
 
 @dataclass

@@ -793,16 +793,41 @@ def _put_raw(path, edit, raw):
     path.write_text(json.dumps(manifest).replace('"RAW"', raw))
 
 
+def _retype_shape(record, cast):
+    record["shape"] = [cast(side) for side in record["shape"]]
+
+
+# an integer field given a value of another JSON type, which no save writes
+ILL_TYPED = {
+    "dataset-version-true": ("data", lambda m: m.update(version=True)),
+    "dataset-num_classes-string": ("data", lambda m: m.update(num_classes="5")),
+    "dataset-seed-float": ("data", lambda m: m.update(seed=0.7)),
+    "dataset-ignore_index-float": ("data", lambda m: m.update(ignore_index=255.5)),
+    "dataset-channels-true": ("data", lambda m: m["modalities"][0].update(channels=True)),
+    "dataset-label-shape-float": ("data",
+                                  lambda m: m["samples"][0]["label"].update(shape=[32.9, 32])),
+    "checkpoint-version-float": ("checkpoint", lambda m: m.update(version=1.0)),
+    "checkpoint-shape-floats": ("checkpoint", lambda m: _retype_shape(m["params"][0], float)),
+    "checkpoint-shape-strings": ("checkpoint", lambda m: _retype_shape(m["params"][0], str)),
+}
+
+
 @pytest.mark.parametrize("case", ["dataset-height-1e400", "checkpoint-shape-1e400",
                                   "deep-dataset-manifest", "deep-config-file",
-                                  "deep-old-manifest"])
+                                  "deep-old-manifest", *ILL_TYPED])
 def test_malformed_json_exits_with_the_documented_code(tmp_path, capsys, case):
     dirs = eval_inputs(tmp_path)
     data, checkpoint = dirs["data"], dirs["checkpoint"]
     train = ["train", "--data", str(data), "--out", str(tmp_path / "run"), "--epochs", "1",
              "--warmup-epochs", "0"]
     evaluate = ["eval", "--checkpoint", str(checkpoint), "--data", str(data)]
-    if case == "dataset-height-1e400":
+    if case in ILL_TYPED:
+        store, edit = ILL_TYPED[case]
+        manifest = json.loads((dirs[store] / "manifest.json").read_text())
+        edit(manifest)
+        (dirs[store] / "manifest.json").write_text(json.dumps(manifest))
+        runs = [(evaluate, 3, "i/o error")]
+    elif case == "dataset-height-1e400":
         _put_raw(data / "manifest.json", lambda m: m.update(height="RAW"), "1e400")
         runs = [(train, 3, "i/o error"), (evaluate, 3, "i/o error")]
     elif case == "checkpoint-shape-1e400":

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -226,6 +227,21 @@ def test_save_removes_no_file_an_unusable_old_manifest_names(tmp_path):
     save_dataset(small_ds(seed=18, n=1), root)
     assert outside.exists() and (root / "sub").is_dir() and (root / "old.bin").exists()
     assert len(load_dataset(root)) == 1
+
+
+def test_a_same_kind_resave_reads_the_old_manifest_once(tmp_path, monkeypatch):
+    root = save_dataset(small_ds(seed=20, n=4), tmp_path / "ds")
+    reads = []
+
+    def counting(path, *args, original=Path.read_text, **kwargs):
+        text = original(path, *args, **kwargs)
+        reads.append(path.name)
+        return text
+    monkeypatch.setattr(Path, "read_text", counting)
+    save_dataset(small_ds(seed=21, n=4), root)
+    assert reads == ["manifest.json"]
+    monkeypatch.undo()
+    assert contents(load_dataset(root)) == contents(small_ds(seed=21, n=4))
 
 
 def contents(ds):

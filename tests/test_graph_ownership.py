@@ -48,6 +48,12 @@ def grad_check(tmp_path):
     assert af.grad_check_params(lambda: af.tsum(af.gelu(x) * x), [x]) < 1e-4
 
 
+def grad_check_non_scalar(tmp_path):
+    x = af.Tensor(np.random.default_rng(0).normal(size=(3, 4)), requires_grad=True)
+    with pytest.raises(af.ShapeError):
+        af.grad_check_params(lambda: af.gelu(x) * x, [x])
+
+
 def checkpoint_round_trip(tmp_path):
     load_checkpoint(save_checkpoint(tiny_model(), tmp_path / "ckpt"))
 
@@ -87,6 +93,7 @@ ENTRY_POINTS = {
                                 TrainConfig(epochs=1, batch_size=2, warmup_epochs=0)),
     "evaluate": lambda tmp_path: evaluate(tiny_model(), tiny_dataset()),
     "grad_check_params": grad_check,
+    "grad_check_params-non-scalar": grad_check_non_scalar,
     "check_density_equivalence": lambda tmp_path: check_density_equivalence(0),
     "checkpoint-save-load": checkpoint_round_trip,
     "dataset-save-load": dataset_round_trip,
